@@ -5,14 +5,9 @@ from .conjecture import (
     ConjectureVerdict,
     SweepRecord,
     check_period_mod2,
-    check_self_similarity_mod5,
     digit_product_divisible,
-    fib_shift_mod5,
     find_counterexample,
-    five_divides_fibonomial,
     lucas_binomial_residue,
-    max_entry_point_primes,
-    row_shift_mod5,
     verify_conjecture,
 )
 from .core import (
@@ -41,7 +36,6 @@ from .valuation import (
     entry_point,
     fibotorial_valuations,
     is_prime,
-    nu5_matches_binomial,
     nu_p_fib,
     nu_p_fibonomial_oracle,
     nu_p_int,
@@ -61,7 +55,6 @@ __all__ = [
     "binomial",
     "carry_valuation",
     "check_period_mod2",
-    "check_self_similarity_mod5",
     "digit_product_divisible",
     "entry_point",
     "evaluate",
@@ -69,21 +62,16 @@ __all__ = [
     "expand_base_p",
     "fib",
     "fib_mod",
-    "fib_shift_mod5",
     "fibonomial",
     "fibonomial_row_mod",
     "fibotorial",
     "fibotorial_valuations",
     "find_counterexample",
-    "five_divides_fibonomial",
     "is_prime",
     "lucas_binomial_residue",
-    "max_entry_point_primes",
-    "nu5_matches_binomial",
     "nu_p_fib",
     "nu_p_fibonomial_oracle",
     "nu_p_int",
     "render",
-    "row_shift_mod5",
     "verify_conjecture",
 ]

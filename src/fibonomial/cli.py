@@ -54,6 +54,9 @@ def _cmd_fib(args: argparse.Namespace) -> int:
 
 
 def _cmd_fibonomial(args: argparse.Namespace) -> int:
+    if args.n < 0 or args.k < 0:
+        raise ValueError(
+            f"fibonomial arguments must be >= 0, got ({args.n}, {args.k})")
     if args.mod is not None:
         if args.k > args.n:
             value = 0
@@ -138,18 +141,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.rows is None:
         raise ValueError("--rows is required unless --counterexample is given")
-    if profile.relation.value == "LESS":
-        raise ValueError(
-            f"entry point {profile.p_star} of {profile.p} is below the prime, so "
-            "the biconditional provably fails; rerun with --counterexample")
-    record = verify_conjecture(profile, args.rows, jobs=args.jobs,
-                               oracle_stride=args.oracle_stride)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.oracle_stride < 0:
+        raise ValueError(f"--oracle-stride must be >= 0, got {args.oracle_stride}")
     out = args.out
     if out is None:
         directory = os.environ.get(SWEEP_DIR_ENV, ".")
         out = os.path.join(directory, f"sweep_p{args.prime}_rows{args.rows}.jsonl")
-    with open(out, "w", encoding="ascii") as fh:
-        record.write_jsonl(fh)
+    try:
+        report = open(out, "w", encoding="ascii")  # fail before the sweep, not after
+    except OSError as exc:
+        raise ValueError(f"cannot write the report: {exc}") from None
+    with report:
+        record = verify_conjecture(profile, args.rows, jobs=args.jobs,
+                                   oracle_stride=args.oracle_stride)
+        record.write_jsonl(report)
     print(f"p={record.p} rows={record.rows} method={record.method} "
           f"counterexamples={len(record.counterexamples)} "
           f"seconds={record.seconds:.2f}")

@@ -7,9 +7,8 @@ in the entry-point base. Sweeps check the biconditional row by row; for
 primes with z < p the biconditional provably fails and a constructive
 witness is produced instead.
 
-Also here: the base-5 digit rule for divisibility by 5, self-similarity
-and shift identities of the triangle mod 5, the mod-2 period, and the
-classical digit-product residue for ordinary binomials.
+Also here: the mod-2 period of the triangle and the classical
+digit-product residue for ordinary binomials.
 """
 
 from __future__ import annotations
@@ -22,13 +21,12 @@ from functools import lru_cache
 from itertools import zip_longest
 from typing import IO
 
-from .core import binomial, fib_mod, fibonomial, iter_fibonomial_rows_mod
+from .core import binomial, fibonomial, iter_fibonomial_rows_mod
 from .radix import expand_base_fp, expand_base_p
 from .valuation import (
     PrimeProfile,
     Relation,
     carry_valuation,
-    entry_point,
     fibotorial_valuations,
     is_prime,
 )
@@ -125,7 +123,8 @@ def verify_conjecture(
     if profile.relation is Relation.LESS:
         raise ValueError(
             f"entry point {profile.p_star} of {profile.p} is below the prime, so the "
-            "biconditional provably fails; use find_counterexample for the witness")
+            "biconditional provably fails; use find_counterexample (verify "
+            "--counterexample) for the witness")
     if method is None:
         method = "oracle" if profile.p == 2 else "carry"
     if method not in ("carry", "oracle"):
@@ -228,35 +227,6 @@ def find_counterexample(profile: PrimeProfile) -> tuple[int, int, ConjectureVerd
     return n, k, ConjectureVerdict.compare(profile.p, n, k, lhs, rhs)
 
 
-def five_divides_fibonomial(n: int, k: int) -> bool:
-    """Decide 5 | fibonomial coefficient (n, k) from base-5 digits alone:
-    true exactly when some digit of k exceeds the matching digit of n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"arguments must be >= 0, got ({n}, {k})")
-    nd = expand_base_p(n, 5).digits
-    kd = expand_base_p(k, 5).digits
-    return any(b > a for a, b in zip_longest(nd, kd, fillvalue=0))
-
-
-def _divisible_by_5(n: int, k: int) -> bool:
-    if k > n:
-        return True  # the coefficient is 0
-    return carry_valuation(k, n - k, entry_point(5)).exponent >= 1
-
-
-def check_self_similarity_mod5(m: int, n: int, k: int, i: int, j: int) -> bool:
-    """Instance check: shifting (n, k) by (i, j) blocks of 5**m preserves
-    divisibility by 5, for 0 <= n, k < 5**m and 0 <= j <= i <= 4."""
-    if m < 0:
-        raise ValueError(f"block exponent must be >= 0, got {m}")
-    s = 5 ** m
-    if not (0 <= n < s and 0 <= k < s):
-        raise ValueError(f"need 0 <= n, k < {s}, got ({n}, {k})")
-    if not 0 <= j <= i <= 4:
-        raise ValueError(f"need 0 <= j <= i <= 4, got ({i}, {j})")
-    return _divisible_by_5(n + i * s, k + j * s) == _divisible_by_5(n, k)
-
-
 _rows_mod_cache: dict[int, list[tuple[int, ...]]] = {}
 
 
@@ -281,39 +251,6 @@ def check_period_mod2(m: int, n: int, k: int) -> bool:
     return _row_entry_mod(n + period, k, 2) == _row_entry_mod(n, k, 2)
 
 
-def fib_shift_mod5(n: int) -> int:
-    """F_{n+5} mod 5, asserting it equals 3 * F_n mod 5 on the way out."""
-    if n < 1:
-        raise ValueError(f"Fibonacci index must be >= 1, got {n}")
-    out = fib_mod(n + 5, 5)
-    assert out == 3 * fib_mod(n, 5) % 5
-    return out
-
-
-def _small_k_fibonomial_mod5(n: int, k: int) -> int:
-    # Falling product over k Fibonacci factors divided by fibotorial(k),
-    # all mod 5; valid because fibotorial(k) is coprime to 5 for k <= 4.
-    num = 1
-    for i in range(k):
-        num = num * fib_mod(n - i, 5) % 5
-    den = 1
-    for i in range(2, k + 1):
-        den = den * fib_mod(i, 5) % 5
-    return num * pow(den, -1, 5) % 5
-
-
-def row_shift_mod5(n: int, k: int) -> tuple[int, int]:
-    """The pair (coefficient on (n+5, k) mod 5, 3**k * coefficient on (n, k)
-    mod 5) for k at most 4; the two agree for every valid n."""
-    if not 0 <= k <= 4:
-        raise ValueError(f"k must be between 0 and 4, got {k}")
-    if k > n:
-        raise ValueError(f"k must not exceed n, got ({n}, {k})")
-    lhs = _small_k_fibonomial_mod5(n + 5, k)
-    rhs = pow(3, k, 5) * _small_k_fibonomial_mod5(n, k) % 5
-    return lhs, rhs
-
-
 def lucas_binomial_residue(n: int, k: int, p: int) -> int:
     """Ordinary binomial coefficient mod p as the product of digitwise
     binomials in base p."""
@@ -327,9 +264,3 @@ def lucas_binomial_residue(n: int, k: int, p: int) -> int:
     for a, b in zip_longest(nd, kd, fillvalue=0):
         out = out * binomial(a, b) % p
     return out
-
-
-def max_entry_point_primes(bound: int) -> list[int]:
-    """Primes up to bound whose entry point takes its maximum value p + 1."""
-    return [p for p in range(2, bound + 1)
-            if is_prime(p) and entry_point(p).p_star == p + 1]

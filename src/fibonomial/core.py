@@ -1,8 +1,9 @@
 """Exact and modular Fibonacci, fibotorial, and fibonomial arithmetic.
 
 Everything here is plain integer arithmetic on Python ints. Indexing is
-1-based (F_1 = F_2 = 1); index 0 is a domain error and never consumed
-internally. These functions are the ground truth that the carry-counting
+1-based (F_1 = F_2 = 1); index 0 is a domain error for callers, and F_0 = 0
+appears only inside the doubling routine and as a weight of the row
+recurrence. These functions are the ground truth that the carry-counting
 fast paths elsewhere in the package are validated against.
 """
 
@@ -29,36 +30,26 @@ def fib(n: int) -> int:
     return _fib_pair(n)[0]
 
 
-def _fib_pair(n: int) -> tuple[int, int]:
-    # Fast doubling on (F_n, F_{n+1}); the recursion anchor F_0 = 0 is an
-    # internal identity only and never escapes this function.
-    if n == 0:
-        return 0, 1
-    a, b = _fib_pair(n >> 1)
-    c = a * (2 * b - a)
-    d = a * a + b * b
-    if n & 1:
-        return d, c + d
-    return c, d
-
-
 def fib_mod(n: int, m: int) -> int:
     """Return F_n mod m without materializing the full integer."""
     if n < 1:
         raise ValueError(f"Fibonacci index must be >= 1, got {n}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    return _fib_pair_mod(n, m)[0]
+    return _fib_pair(n, m)[0]
 
 
-def _fib_pair_mod(n: int, m: int) -> tuple[int, int]:
+def _fib_pair(n: int, m: int | None = None) -> tuple[int, int]:
+    # Fast doubling on (F_n, F_{n+1}), reduced mod m when one is given; the
+    # recursion anchor F_0 = 0 is an internal identity only.
     if n == 0:
-        return 0, 1 % m
-    a, b = _fib_pair_mod(n >> 1, m)
-    c = a * (2 * b - a) % m
-    d = (a * a + b * b) % m
+        return 0, 1
+    a, b = _fib_pair(n >> 1, m)
+    c, d = a * (2 * b - a), a * a + b * b
     if n & 1:
-        return d, (c + d) % m
+        c, d = d, c + d
+    if m is not None:
+        c, d = c % m, d % m
     return c, d
 
 
@@ -97,59 +88,54 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def iter_fibonomial_rows_mod(count: int, m: int) -> Iterator[TriangleRow]:
-    """Yield triangle rows 0 .. count-1 reduced mod m.
+def _weighted_rows(count: int, m: int | None, fibonacci: bool) -> Iterator[TriangleRow]:
+    """Yield rows 0 .. count-1 of the weighted Pascal recurrence
 
-    Entirely in residues: row n is built from row n-1 by the weighted
-    recurrence with Fibonacci weights F_{k+1} and F_{n-k-1} taken mod m.
-    A weight whose index would be 0 multiplies nothing and is dropped;
-    the row edges are pinned to 1.
+        C(n, k) = w_{k+1} C(n-1, k) + w_{n-k-1} C(n-1, k-1),  0 < k < n,
+
+    with the row edges pinned to 1, reduced mod m unless m is None. The
+    Fibonacci weights w_i = F_i give the fibonomial triangle (F_0 = 0 drops
+    the second term at k = n-1); the weights w_i = 1 give Pascal's triangle.
     """
     if count < 0:
         raise ValueError(f"row count must be >= 0, got {count}")
-    if m < 2:
+    if m is not None and m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    one = 1 % m
-    fibm = [0, one, one]  # fibm[i] = F_i mod m; slot 0 is never read
+    if fibonacci:
+        w = [0, 1]
+        while len(w) < count:
+            w.append(w[-1] + w[-2] if m is None else (w[-1] + w[-2]) % m)
+    else:
+        w = [1] * count
     row: list[int] = []
     for n in range(count):
-        while len(fibm) <= n:
-            fibm.append((fibm[-1] + fibm[-2]) % m)
-        if n == 0:
-            row = [one]
+        terms = zip(w[2:n + 1], row[1:], w[n - 2::-1], row[:-1])
+        if m is None:
+            inner = [a * x + b * y for a, x, b, y in terms]
         else:
-            new = [one]
-            for k in range(1, n):
-                t = fibm[k + 1] * row[k]
-                if n - k - 1 >= 1:
-                    t += fibm[n - k - 1] * row[k - 1]
-                new.append(t % m)
-            new.append(one)
-            row = new
+            inner = [(a * x + b * y) % m for a, x, b, y in terms]
+        row = [1, *inner, 1] if n else [1]
         yield TriangleRow(n, tuple(row), m)
 
 
+def iter_fibonomial_rows_mod(count: int, m: int) -> Iterator[TriangleRow]:
+    """Yield fibonomial triangle rows 0 .. count-1 reduced mod m."""
+    return _weighted_rows(count, m, fibonacci=True)
+
+
 def iter_fibonomial_rows_exact(count: int) -> Iterator[TriangleRow]:
-    """Yield exact triangle rows 0 .. count-1 via the weighted recurrence."""
-    if count < 0:
-        raise ValueError(f"row count must be >= 0, got {count}")
-    fibs = [0, 1, 1]
-    row: list[int] = []
-    for n in range(count):
-        while len(fibs) <= n:
-            fibs.append(fibs[-1] + fibs[-2])
-        if n == 0:
-            row = [1]
-        else:
-            new = [1]
-            for k in range(1, n):
-                t = fibs[k + 1] * row[k]
-                if n - k - 1 >= 1:
-                    t += fibs[n - k - 1] * row[k - 1]
-                new.append(t)
-            new.append(1)
-            row = new
-        yield TriangleRow(n, tuple(row), None)
+    """Yield exact fibonomial triangle rows 0 .. count-1."""
+    return _weighted_rows(count, None, fibonacci=True)
+
+
+def iter_binomial_rows_mod(count: int, m: int) -> Iterator[TriangleRow]:
+    """Yield Pascal triangle rows 0 .. count-1 reduced mod m."""
+    return _weighted_rows(count, m, fibonacci=False)
+
+
+def iter_binomial_rows_exact(count: int) -> Iterator[TriangleRow]:
+    """Yield exact Pascal triangle rows 0 .. count-1."""
+    return _weighted_rows(count, None, fibonacci=False)
 
 
 def fibonomial_row_mod(n: int, m: int) -> TriangleRow:
@@ -161,32 +147,3 @@ def fibonomial_row_mod(n: int, m: int) -> TriangleRow:
         pass
     assert row is not None
     return row
-
-
-def iter_binomial_rows_mod(count: int, m: int) -> Iterator[TriangleRow]:
-    """Yield Pascal triangle rows 0 .. count-1 reduced mod m."""
-    if count < 0:
-        raise ValueError(f"row count must be >= 0, got {count}")
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    one = 1 % m
-    row: list[int] = []
-    for n in range(count):
-        if n == 0:
-            row = [one]
-        else:
-            row = [one] + [(row[k] + row[k - 1]) % m for k in range(1, n)] + [one]
-        yield TriangleRow(n, tuple(row), m)
-
-
-def iter_binomial_rows_exact(count: int) -> Iterator[TriangleRow]:
-    """Yield exact Pascal triangle rows 0 .. count-1."""
-    if count < 0:
-        raise ValueError(f"row count must be >= 0, got {count}")
-    row: list[int] = []
-    for n in range(count):
-        if n == 0:
-            row = [1]
-        else:
-            row = [1] + [row[k] + row[k - 1] for k in range(1, n)] + [1]
-        yield TriangleRow(n, tuple(row), None)

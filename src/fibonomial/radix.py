@@ -54,19 +54,6 @@ class DigitVector:
             "digits": list(self.digits),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "DigitVector":
-        if obj.get("base") not in ("p", "Fp"):
-            raise ValueError(f"unknown base tag {obj.get('base')!r}")
-        pstar = obj.get("pstar")
-        if obj["base"] == "p" and pstar is not None:
-            raise ValueError("uniform base must not carry a units radix")
-        if obj["base"] == "Fp" and pstar is None:
-            raise ValueError("entry-point base requires a units radix")
-        vec = cls(tuple(obj["digits"]), obj["p"], pstar)
-        vec.validate()
-        return vec
-
 
 @dataclass(frozen=True)
 class CarryReport:

@@ -33,17 +33,12 @@ _SVG_CELL = 10
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """What to draw: row count, triangle kind, optional modulus, format.
-
-    palette optionally overrides the per-residue presentation: glyph
-    strings for ascii, gray levels for pgm, fill colors for svg.
-    """
+    """What to draw: row count, triangle kind, optional modulus, format."""
 
     rows: int
     kind: str = "fibonomial"
     modulus: int | None = None
     format: str = "ascii"
-    palette: dict[int, object] | None = None
 
 
 def triangle_rows(spec: RenderSpec) -> list[TriangleRow]:
@@ -82,14 +77,7 @@ def render(spec: RenderSpec) -> str:
 
 def render_ascii(spec: RenderSpec) -> str:
     rows = triangle_rows(spec)
-    palette = spec.palette
-
-    def glyph(e: int) -> str:
-        if palette is not None and e in palette:
-            return str(palette[e])
-        return str(e)
-
-    cells = [[glyph(e) for e in row.entries] for row in rows]
+    cells = [[str(e) for e in row.entries] for row in rows]
     width = max(len(c) for row in cells for c in row)
     gap = " " * width
     lines = []
@@ -105,12 +93,6 @@ def _require_modulus(spec: RenderSpec) -> int:
     return spec.modulus
 
 
-def _gray(residue: int, m: int, palette: dict | None) -> int:
-    if palette is not None and residue in palette:
-        return int(palette[residue])
-    return 255 * residue // (m - 1)
-
-
 def render_pgm(spec: RenderSpec) -> str:
     """Plain (P2) grayscale raster, one pixel per cell, rows top-down.
 
@@ -124,14 +106,12 @@ def render_pgm(spec: RenderSpec) -> str:
     for n, row in enumerate(rows):
         pixels = [255] * width
         for k, e in enumerate(row.entries):
-            pixels[spec.rows - 1 - n + 2 * k] = _gray(e, m, spec.palette)
+            pixels[spec.rows - 1 - n + 2 * k] = 255 * e // (m - 1)
         lines.append(" ".join(str(v) for v in pixels))
     return "\n".join(lines) + "\n"
 
 
-def _fill(residue: int, m: int, palette: dict | None) -> str:
-    if palette is not None and residue in palette:
-        return str(palette[residue])
+def _fill(residue: int, m: int) -> str:
     index = round(residue * (len(_VIRIDIS) - 1) / (m - 1))
     return _VIRIDIS[index]
 
@@ -155,7 +135,7 @@ def render_svg(spec: RenderSpec) -> str:
             x = (spec.rows - 1 - n) * s // 2 + k * s
             lines.append(
                 f'  <rect x="{x}" y="{y}" width="{s}" height="{s}" '
-                f'fill="{_fill(e, m, spec.palette)}"/>')
+                f'fill="{_fill(e, m)}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

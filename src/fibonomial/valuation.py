@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .core import binomial, fib, fibonomial
+from .core import fib
 from .radix import add_with_carries
 
 
@@ -173,12 +173,3 @@ def nu_p_fibonomial_oracle(n: int, k: int, p: int) -> Valuation:
         raise ValueError(f"need 0 <= k <= n for a nonzero coefficient, got ({n}, {k})")
     s = fibotorial_valuations(n, p)
     return Valuation(s[n] - s[k] - s[n - k], "oracle")
-
-
-def nu5_matches_binomial(n: int, k: int) -> bool:
-    """Whether the fibonomial and binomial coefficients on (n, k) carry the
-    same power of 5, both measured by exact big-integer valuations."""
-    if k > n or k < 0:
-        raise ValueError(f"need 0 <= k <= n, got ({n}, {k})")
-    return (nu_p_int(fibonomial(n, k), 5).exponent
-            == nu_p_int(binomial(n, k), 5).exponent)

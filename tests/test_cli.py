@@ -33,6 +33,9 @@ def test_fibonomial_query(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = run(capsys, "fibonomial", "3", "8", "--mod", "5")
     assert code == 0 and out.strip() == "0"
+    for argv in ("5 -1 --mod 5", "7 -2 --mod 1000", "-1 0 --mod 5", "-1 0"):
+        code, out, err = run(capsys, "fibonomial", *argv.split())
+        assert code == 2 and out == "" and "must be >= 0" in err
     code, out, _ = run(capsys, "fibonomial", "57", "26", "--json")
     payload = json.loads(out)
     assert payload["value"] == fibonomial(57, 26)
@@ -166,10 +169,14 @@ def test_verify_counterexample_exit_code(capsys):
     assert "agrees=False" in out
 
 
-def test_verify_usage_errors(capsys):
+def test_verify_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--prime", "4", "--rows", "10")
     assert code == 2
     code, _, err = run(capsys, "verify", "--prime", "7")
     assert code == 2 and "--rows" in err
     code, _, err = run(capsys, "verify", "--prime", "7", "--counterexample")
     assert code == 2  # relation is not LESS, no witness construction
+    for flags in (["--jobs", "0"], ["--oracle-stride", "-3"],
+                  ["--out", str(tmp_path / "missing" / "sweep.jsonl")]):
+        code, _, err = run(capsys, "verify", "--prime", "7", "--rows", "60", *flags)
+        assert code == 2 and "error:" in err, flags

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from itertools import accumulate, zip_longest
 
 import pytest
 
@@ -8,20 +9,28 @@ from fibonomial.conjecture import (
     ConjectureVerdict,
     SweepRecord,
     check_period_mod2,
-    check_self_similarity_mod5,
     digit_product_divisible,
-    fib_shift_mod5,
     find_counterexample,
-    five_divides_fibonomial,
     lucas_binomial_residue,
-    max_entry_point_primes,
-    row_shift_mod5,
     verify_conjecture,
 )
 from fibonomial.core import fib, fib_mod, fibonomial_row_mod
-from fibonomial.valuation import entry_point
+from fibonomial.valuation import entry_point, is_prime
 
-from oracles import fibotorial_seq, naive_fibonomial, nu
+from oracles import digits_le, fib_seq, fibotorial_seq, naive_fibonomial, nu
+
+# Divisibility by 5 from exact valuations; the zero coefficient (k > n)
+# counts as divisible.
+S5 = [0, *accumulate(nu(x, 5) for x in fib_seq(150))]
+
+
+def _div5(n, k):
+    return k > n or S5[n] - S5[k] - S5[n - k] >= 1
+
+
+def _base5_digit_exceeds(n, k):
+    pairs = zip_longest(digits_le(n, 5), digits_le(k, 5), fillvalue=0)
+    return any(b > a for a, b in pairs)
 
 
 def test_digit_product_divisible_examples():
@@ -132,7 +141,10 @@ def test_witness_against_exact_arithmetic():
     (0, 0, False),
 ])
 def test_five_divides_fibonomial_examples(n, k, expected):
-    assert five_divides_fibonomial(n, k) == expected
+    # 5 divides the coefficient exactly when some base-5 digit of k exceeds
+    # the matching digit of n.
+    assert (naive_fibonomial(n, k) % 5 == 0) == expected
+    assert _base5_digit_exceeds(n, k) == expected
 
 
 def test_five_divides_fibonomial_matches_exact_and_digit_product():
@@ -141,14 +153,15 @@ def test_five_divides_fibonomial_matches_exact_and_digit_product():
     for n in range(151):
         for k in range(n + 1):
             want = naive_fibonomial(n, k, ft) % 5 == 0
-            assert five_divides_fibonomial(n, k) == want
+            assert _base5_digit_exceeds(n, k) == want
             assert digit_product_divisible(n, k, p5) == want
 
 
 def test_self_similarity_examples():
-    assert check_self_similarity_mod5(1, 3, 1, 1, 1) is True
-    assert check_self_similarity_mod5(0, 0, 0, 4, 2) is True
-    assert check_self_similarity_mod5(2, 24, 17, 3, 3) is True
+    # Shifting (n, k) by (i, j) blocks of 5**m, 0 <= j <= i <= 4, keeps
+    # divisibility by 5, for 0 <= n, k < 5**m.
+    for m, n, k, i, j in ((1, 3, 1, 1, 1), (0, 0, 0, 4, 2), (2, 24, 17, 3, 3)):
+        assert _div5(n + i * 5 ** m, k + j * 5 ** m) == _div5(n, k)
 
 
 def test_self_similarity_exhaustive_small_blocks():
@@ -158,18 +171,7 @@ def test_self_similarity_exhaustive_small_blocks():
             for k in range(s):
                 for i in range(5):
                     for j in range(i + 1):
-                        assert check_self_similarity_mod5(m, n, k, i, j)
-
-
-def test_self_similarity_domain_errors():
-    with pytest.raises(ValueError):
-        check_self_similarity_mod5(-1, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        check_self_similarity_mod5(1, 5, 0, 0, 0)
-    with pytest.raises(ValueError):
-        check_self_similarity_mod5(1, 0, 0, 1, 2)  # j > i
-    with pytest.raises(ValueError):
-        check_self_similarity_mod5(1, 0, 0, 5, 0)
+                        assert _div5(n + i * s, k + j * s) == _div5(n, k)
 
 
 def test_period_mod2_examples():
@@ -196,28 +198,25 @@ def test_period_mod2_domain_errors():
 
 
 def test_fib_shift_mod5():
-    assert fib_shift_mod5(1) == 3  # F_6 = 8
-    assert fib_shift_mod5(5) == 0  # F_10 = 55
+    # F_{n+5} = 3 F_n (mod 5)
+    assert fib_mod(6, 5) == 3  # F_6 = 8
+    assert fib_mod(10, 5) == 0  # F_10 = 55
+    xs = fib_seq(205)
     for n in range(1, 201):
-        assert fib_shift_mod5(n) == fib(n + 5) % 5
-    with pytest.raises(ValueError):
-        fib_shift_mod5(0)
+        assert fib_mod(n + 5, 5) == xs[n + 4] % 5 == 3 * xs[n - 1] % 5
 
 
 def test_row_shift_mod5():
-    assert row_shift_mod5(4, 1) == (4, 4)
-    assert row_shift_mod5(5, 2) == (0, 0)
-    assert row_shift_mod5(9, 0) == (1, 1)
+    # C(n+5, k) = 3**k C(n, k) (mod 5) for k <= 4, on exact coefficients
+    # and on the modular row recurrence.
+    examples = ((4, 1), (5, 2), (9, 0))
+    assert [naive_fibonomial(n + 5, k) % 5 for n, k in examples] == [4, 0, 1]
+    ft = fibotorial_seq(64)
     for n in range(60):
         row = fibonomial_row_mod(n + 5, 5).entries
         for k in range(min(n, 4) + 1):
-            lhs, rhs = row_shift_mod5(n, k)
-            assert lhs == rhs
-            assert lhs == row[k]  # agrees with the row recurrence
-    with pytest.raises(ValueError):
-        row_shift_mod5(10, 5)
-    with pytest.raises(ValueError):
-        row_shift_mod5(2, 3)
+            lhs = naive_fibonomial(n + 5, k, ft) % 5
+            assert lhs == 3 ** k * naive_fibonomial(n, k, ft) % 5 == row[k]
 
 
 @pytest.mark.parametrize("n, k, p, expected", [
@@ -240,7 +239,9 @@ def test_lucas_matches_comb():
 
 
 def test_max_entry_point_primes():
-    assert max_entry_point_primes(110) == [2, 3, 7, 23, 43, 67, 83, 103]
+    # Primes up to 110 whose entry point takes its maximum value p + 1.
+    hit = [p for p in range(2, 111) if is_prime(p) and entry_point(p).p_star == p + 1]
+    assert hit == [2, 3, 7, 23, 43, 67, 83, 103]
 
 
 def test_sweep_record_jsonl_schema():
@@ -263,6 +264,6 @@ def test_sweep_record_jsonl_schema():
 
 def test_fib_mod_periodicity_supports_shift():
     # The residues of F mod 5 repeat with period 20; the factor-3 shift is
-    # its square root in disguise. Pure sanity on the helper's premise.
+    # its square root in disguise. Pure sanity on the shift's premise.
     seq = [fib_mod(n, 5) for n in range(1, 41)]
     assert seq[:20] == seq[20:]

@@ -43,6 +43,7 @@ def test_fib_rejects_nonpositive_index(n):
     (10, 11, 0),
     (1, 7, 1),
     (8, 7, 0),
+    (10**6, 998244353, 603708274),
 ])
 def test_fib_mod_examples(n, m, expected):
     assert fib_mod(n, m) == expected
@@ -151,7 +152,7 @@ def test_fibonomial_row_mod_examples(n, m, expected):
 
 def test_fibonomial_row_mod_agrees_with_exact():
     ft = fibotorial_seq(40)
-    for m in (2, 3, 5, 7, 11):
+    for m in (2, 3, 4, 5, 6, 7, 11, 12, 64):
         for n in range(41):
             row = fibonomial_row_mod(n, m)
             expected = tuple(naive_fibonomial(n, k, ft) % m for k in range(n + 1))
@@ -181,8 +182,9 @@ def test_binomial_rows_match_comb():
     exact = list(iter_binomial_rows_exact(20))
     for row in exact:
         assert row.entries == tuple(math.comb(row.n, k) for k in range(row.n + 1))
-    for row in iter_binomial_rows_mod(20, 7):
-        assert row.entries == tuple(e % 7 for e in exact[row.n].entries)
+    for m in (4, 6, 7, 12, 64):
+        for row in iter_binomial_rows_mod(20, m):
+            assert row.entries == tuple(e % m for e in exact[row.n].entries)
 
 
 @pytest.mark.parametrize("n, k, expected", [(4, 2, 6), (7, 3, 35), (3, 5, 0)])

@@ -92,13 +92,6 @@ def test_json_round_trip_mod():
     assert obj["triangle"][9] == [1, 4, 4, 1, 1, 1, 1, 4, 4, 1]
 
 
-def test_palette_overrides():
-    spec = RenderSpec(rows=4, kind="fibonomial", modulus=2,
-                      palette={0: ".", 1: "#"})
-    art = render(spec)
-    assert art.splitlines()[-1].split() == ["#", ".", ".", "#"]
-
-
 def test_render_domain_errors():
     with pytest.raises(ValueError):
         render(RenderSpec(rows=0))
