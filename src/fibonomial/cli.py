@@ -15,7 +15,12 @@ import json
 import os
 import sys
 
-from .conjecture import find_counterexample, lucas_binomial_residue, verify_conjecture
+from .conjecture import (
+    find_counterexample,
+    lucas_binomial_residue,
+    validate_sweep,
+    verify_conjecture,
+)
 from .core import fib, fib_mod, fibonomial, fibonomial_row_mod
 from .radix import expand_base_fp, expand_base_p
 from .render import FORMATS, KINDS, RenderSpec, render
@@ -141,10 +146,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.rows is None:
         raise ValueError("--rows is required unless --counterexample is given")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.oracle_stride < 0:
-        raise ValueError(f"--oracle-stride must be >= 0, got {args.oracle_stride}")
+    # Checked before the report is opened, so a refused sweep leaves any
+    # existing report as it was.
+    validate_sweep(profile, args.rows, jobs=args.jobs,
+                   oracle_stride=args.oracle_stride)
     out = args.out
     if out is None:
         directory = os.environ.get(SWEEP_DIR_ENV, ".")

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
+from operator import getitem
 from typing import IO
 
 from .core import binomial, fibonomial, iter_fibonomial_rows_mod
@@ -103,6 +103,36 @@ def digit_product_divisible(n: int, k: int, profile: PrimeProfile) -> bool:
     return _pairs_divisible(nd, kd, profile.p)
 
 
+def validate_sweep(
+    profile: PrimeProfile,
+    rows: int,
+    *,
+    method: str | None = None,
+    jobs: int = 1,
+    oracle_stride: int | None = 37,
+) -> str:
+    """Reject a sweep verify_conjecture would refuse, before any work or
+    output; return the method it would use."""
+    if profile.relation is Relation.LESS:
+        raise ValueError(
+            f"entry point {profile.p_star} of {profile.p} is below the prime, so the "
+            "biconditional provably fails; use find_counterexample (verify "
+            "--counterexample) for the witness")
+    if method is None:
+        method = "oracle" if profile.p == 2 else "carry"
+    if method not in ("carry", "oracle"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "carry" and profile.p == 2:
+        raise ValueError("carry counting requires an odd prime; use the oracle for 2")
+    if rows < 0:
+        raise ValueError(f"rows must be >= 0, got {rows}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if oracle_stride is not None and oracle_stride < 0:
+        raise ValueError(f"oracle stride must be >= 0, got {oracle_stride}")
+    return method
+
+
 def verify_conjecture(
     profile: PrimeProfile,
     rows: int,
@@ -118,21 +148,11 @@ def verify_conjecture(
     pair in row-major order is recomputed with the oracle; a mismatch there
     is an arithmetic bug and raises, never a counterexample. Rows may be
     partitioned across processes with jobs > 1; results are merged in
-    deterministic (n, k) order either way.
+    deterministic (n, k) order either way. Arguments are checked by
+    validate_sweep.
     """
-    if profile.relation is Relation.LESS:
-        raise ValueError(
-            f"entry point {profile.p_star} of {profile.p} is below the prime, so the "
-            "biconditional provably fails; use find_counterexample (verify "
-            "--counterexample) for the witness")
-    if method is None:
-        method = "oracle" if profile.p == 2 else "carry"
-    if method not in ("carry", "oracle"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "carry" and profile.p == 2:
-        raise ValueError("carry counting requires an odd prime; use the oracle for 2")
-    if rows < 0:
-        raise ValueError(f"rows must be >= 0, got {rows}")
+    method = validate_sweep(profile, rows, method=method, jobs=jobs,
+                            oracle_stride=oracle_stride)
 
     start = time.perf_counter()
     stride = oracle_stride or 0
@@ -141,10 +161,14 @@ def verify_conjecture(
     else:
         prefix = ()
     chunks = _row_chunks(rows, jobs)
-    if len(chunks) <= 1 or jobs <= 1:
+    if len(chunks) <= 1:
         parts = [_sweep_rows(profile, lo, hi, method, stride, prefix)
                  for lo, hi in chunks]
     else:
+        # Imported here: the process machinery costs every CLI command
+        # tens of milliseconds of start-up, and only pooled sweeps use it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(
                 _sweep_rows,
@@ -185,27 +209,50 @@ def _sweep_rows(
     stride: int,
     prefix: tuple[int, ...],
 ) -> list[ConjectureVerdict]:
+    """The disagreements among the pairs of rows [lo, hi), in (n, k) order.
+
+    The entry-point digits of 0 .. hi-1, their digit sums and the
+    divisibility bit of every digit-pair factor are computed once per call,
+    so a pair costs a few table lookups. Adding k to n - k in the
+    entry-point base lowers the digit sum by z - 1 for a carry out of the
+    units place and by p - 1 for any other carry, so the sums differ
+    exactly when the addition carries, which is when p divides the
+    coefficient, as nu_p(F_z) >= 1. At every stride-th pair carry_valuation
+    and the oracle prefix table recheck that carry test.
+    """
     p = profile.p
+    digits = [expand_base_fp(n, profile).digits for n in range(hi)]
+    sums = [sum(d) for d in digits]
+    # table[a][b]: whether p divides the digit factor C(a, b)_F; b > a gives
+    # the zero coefficient, which p divides. Every digit of n < hi is below
+    # both max(z, p) and hi, so a short sweep on a large prime stays small.
+    size = min(max(profile.p_star, p), hi)
+    table = [[e == 0 for e in row.entries] + [True] * (size - 1 - row.n)
+             for row in iter_fibonomial_rows_mod(size, p)]
     bad = []
     for n in range(lo, hi):
-        nd = expand_base_fp(n, profile).digits
-        row_base = n * (n + 1) // 2
-        for k in range(n + 1):
-            kd = expand_base_fp(k, profile).digits
-            rhs = _pairs_divisible(nd, kd, p)
-            if method == "carry":
+        # map stops at the last digit of k <= n; the digits of k it skips
+        # are 0, and the factor C(a, 0)_F = 1 is never divisible.
+        factors = [table[a] for a in digits[n]]
+        rhs = [any(map(getitem, factors, d)) for d in digits[:n + 1]]
+        if method == "carry":
+            head, total = sums[:n + 1], sums[n]
+            lhs = [a + b != total for a, b in zip(head, reversed(head))]
+        else:
+            lhs = [prefix[n] - prefix[k] - prefix[n - k] >= 1 for k in range(n + 1)]
+        if lhs != rhs:
+            bad.extend(ConjectureVerdict.compare(p, n, k, left, right)
+                       for k, (left, right) in enumerate(zip(lhs, rhs))
+                       if left != right)
+        if method == "carry" and stride:
+            row_base = n * (n + 1) // 2
+            for k in range(-row_base % stride, n + 1, stride):
                 e = carry_valuation(k, n - k, profile).exponent
-                if stride and (row_base + k) % stride == 0:
-                    want = prefix[n] - prefix[k] - prefix[n - k]
-                    if want != e:
-                        raise ArithmeticError(
-                            f"carry valuation {e} disagrees with oracle {want} "
-                            f"at (n={n}, k={k}, p={p})")
-            else:
-                e = prefix[n] - prefix[k] - prefix[n - k]
-            lhs = e >= 1
-            if lhs != rhs:
-                bad.append(ConjectureVerdict.compare(p, n, k, lhs, rhs))
+                want = prefix[n] - prefix[k] - prefix[n - k]
+                if want != e or lhs[k] != (want >= 1):
+                    raise ArithmeticError(
+                        f"carry valuation {e} (carry test {lhs[k]}) disagrees "
+                        f"with oracle {want} at (n={n}, k={k}, p={p})")
     return bad
 
 

@@ -65,3 +65,41 @@ def kummer_carries(a, b, base):
         a //= base
         b //= base
     return count
+
+
+def sweep_rows_per_pair(profile, lo, hi, method, stride, prefix):
+    """The conjecture sweep's former loop over rows [lo, hi), the reference
+    for `conjecture._sweep_rows`: per pair it expands both digit vectors,
+    tests the digit product with `_pairs_divisible` and, in carry mode,
+    counts the carries with `carry_valuation`.
+
+    Unlike the rest of this module it calls the package, but only the
+    per-pair primitives that the table-driven sweep no longer uses in its
+    inner loop.
+    """
+    from fibonomial.conjecture import ConjectureVerdict, _pairs_divisible
+    from fibonomial.radix import expand_base_fp
+    from fibonomial.valuation import carry_valuation
+
+    p = profile.p
+    bad = []
+    for n in range(lo, hi):
+        nd = expand_base_fp(n, profile).digits
+        row_base = n * (n + 1) // 2
+        for k in range(n + 1):
+            kd = expand_base_fp(k, profile).digits
+            rhs = _pairs_divisible(nd, kd, p)
+            if method == "carry":
+                e = carry_valuation(k, n - k, profile).exponent
+                if stride and (row_base + k) % stride == 0:
+                    want = prefix[n] - prefix[k] - prefix[n - k]
+                    if want != e:
+                        raise ArithmeticError(
+                            f"carry valuation {e} disagrees with oracle {want} "
+                            f"at (n={n}, k={k}, p={p})")
+            else:
+                e = prefix[n] - prefix[k] - prefix[n - k]
+            lhs = e >= 1
+            if lhs != rhs:
+                bad.append(ConjectureVerdict.compare(p, n, k, lhs, rhs))
+    return bad

@@ -1,4 +1,8 @@
+import inspect
 import json
+import os
+import subprocess
+import sys
 
 from fibonomial.cli import main
 from fibonomial.core import fibonomial
@@ -157,9 +161,19 @@ def test_verify_default_path_uses_env_dir(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "sweep_p5_rows40.jsonl").exists()
 
 
-def test_verify_refuses_less_relation_without_flag(capsys):
+def test_verify_refuses_less_relation_without_flag(tmp_path, capsys, monkeypatch):
+    # A refused sweep neither creates nor truncates its report.
+    monkeypatch.setenv("FIBONOMIAL_SWEEP_DIR", str(tmp_path))
     code, _, err = run(capsys, "verify", "--prime", "11", "--rows", "50")
     assert code == 2 and "--counterexample" in err
+    code, _, err = run(capsys, "verify", "--prime", "7", "--rows", "-1")
+    assert code == 2 and "rows" in err
+    assert list(tmp_path.iterdir()) == []
+    report = tmp_path / "sweep_p11_rows50.jsonl"
+    report.write_bytes(b"an earlier report\n")
+    code, _, _ = run(capsys, "verify", "--prime", "11", "--rows", "50")
+    assert code == 2
+    assert report.read_bytes() == b"an earlier report\n"
 
 
 def test_verify_counterexample_exit_code(capsys):
@@ -180,3 +194,13 @@ def test_verify_usage_errors(tmp_path, capsys):
                   ["--out", str(tmp_path / "missing" / "sweep.jsonl")]):
         code, _, err = run(capsys, "verify", "--prime", "7", "--rows", "60", *flags)
         assert code == 2 and "error:" in err, flags
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # Only a pooled sweep needs concurrent.futures.process; importing it
+    # with the CLI would add its start-up cost to every command.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(inspect.getfile(main))))
+    code = "import sys, fibonomial.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -5,6 +5,7 @@ from itertools import accumulate, zip_longest
 
 import pytest
 
+import fibonomial.conjecture as conjecture
 from fibonomial.conjecture import (
     ConjectureVerdict,
     SweepRecord,
@@ -15,9 +16,17 @@ from fibonomial.conjecture import (
     verify_conjecture,
 )
 from fibonomial.core import fib, fib_mod, fibonomial_row_mod
-from fibonomial.valuation import entry_point, is_prime
+from fibonomial.radix import DigitVector, expand_base_fp
+from fibonomial.valuation import Valuation, carry_valuation, entry_point, is_prime
 
-from oracles import digits_le, fib_seq, fibotorial_seq, naive_fibonomial, nu
+from oracles import (
+    digits_le,
+    fib_seq,
+    fibotorial_seq,
+    naive_fibonomial,
+    nu,
+    sweep_rows_per_pair,
+)
 
 # Divisibility by 5 from exact valuations; the zero coefficient (k > n)
 # counts as divisible.
@@ -106,6 +115,74 @@ def test_verify_conjecture_parallel_matches_serial():
     parallel = verify_conjecture(prof, 90, jobs=3)
     assert serial.counterexamples == parallel.counterexamples
     assert serial.jsonl_lines() == parallel.jsonl_lines()
+
+
+def _sweeps_agree(p, rows, method, stride):
+    profile = entry_point(p)
+    prefix = conjecture.fibotorial_valuations(rows - 1, p)
+    want = sweep_rows_per_pair(profile, 0, rows, method, stride, prefix)
+    assert conjecture._sweep_rows(profile, 0, rows, method, stride, prefix) == want
+    chunked = [v for lo, hi in conjecture._row_chunks(rows, 3)
+               for v in conjecture._sweep_rows(profile, lo, hi, method, stride, prefix)]
+    assert chunked == want
+    return want
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 29])
+def test_sweep_rows_matches_per_pair_loop_with_counterexamples(p):
+    # Primes with z < p, which verify_conjecture refuses: the disagreements
+    # must match pair for pair.
+    assert _sweeps_agree(p, 300, "carry", 37)
+
+
+@pytest.mark.parametrize("method, stride", [("carry", 0), ("carry", 1), ("carry", 37),
+                                            ("oracle", 0)])
+@pytest.mark.parametrize("p, rows", [(3, 120), (5, 120), (7, 120), (23, 120), (163, 200)])
+def test_sweep_rows_matches_per_pair_loop(p, rows, method, stride):
+    # The oracle method reads no stride.
+    assert _sweeps_agree(p, rows, method, stride) == []
+
+
+@pytest.mark.parametrize("method", ["carry", "oracle"])
+def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatch):
+    # z = 10008 > p = 10007: a table sized by the prime would take ~10^8
+    # cells; the digits of 30 rows need a 30-row table.
+    sizes = []
+    rows_mod = conjecture.iter_fibonomial_rows_mod
+
+    def recording(count, m):
+        sizes.append(count)
+        return rows_mod(count, m)
+
+    monkeypatch.setattr(conjecture, "iter_fibonomial_rows_mod", recording)
+    assert entry_point(10007).p_star == 10008
+    assert _sweeps_agree(10007, 30, method, 1) == []
+    assert max(sizes) == 30
+
+
+def test_oracle_stride_catches_wrong_carry_valuation(monkeypatch):
+    # (8, 1) is pair number 37 in row-major order, so stride 37 checks it.
+    def off_by_one(m, n, profile):
+        e = carry_valuation(m, n, profile).exponent
+        return Valuation(e + ((m, n) == (1, 7)), "carry")
+
+    monkeypatch.setattr(conjecture, "carry_valuation", off_by_one)
+    with pytest.raises(ArithmeticError, match=r"\(n=8, k=1, p=7\)"):
+        verify_conjecture(entry_point(7), 40, oracle_stride=37)
+
+
+def test_oracle_stride_catches_wrong_carry_test(monkeypatch):
+    # Give 9 = (1 1) the digits of 8, so its digit sum is 1 too low: the
+    # carry test then reports a carry in 1 + 8, which has none.
+    def wrong_digits(n, profile):
+        vec = expand_base_fp(n, profile)
+        return DigitVector((0, 1), vec.p, vec.pstar) if n == 9 else vec
+
+    monkeypatch.setattr(conjecture, "expand_base_fp", wrong_digits)
+    with pytest.raises(ArithmeticError, match=r"\(n=9, k=1, p=7\)"):
+        verify_conjecture(entry_point(7), 40, oracle_stride=1)
+    # Unchecked, the same fault reads as counterexamples.
+    assert verify_conjecture(entry_point(7), 40, oracle_stride=0).counterexamples
 
 
 @pytest.mark.parametrize("p, witness", [
