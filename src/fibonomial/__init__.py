@@ -21,9 +21,7 @@ from .core import (
 )
 from .radix import (
     CarryReport,
-    DigitVector,
     add_with_carries,
-    evaluate,
     expand_base_fp,
     expand_base_p,
 )
@@ -36,7 +34,6 @@ from .valuation import (
     entry_point,
     fibotorial_valuations,
     is_prime,
-    nu_p_fib,
     nu_p_fibonomial_oracle,
     nu_p_int,
 )
@@ -44,7 +41,6 @@ from .valuation import (
 __all__ = [
     "CarryReport",
     "ConjectureVerdict",
-    "DigitVector",
     "PrimeProfile",
     "Relation",
     "RenderSpec",
@@ -57,7 +53,6 @@ __all__ = [
     "check_period_mod2",
     "digit_product_divisible",
     "entry_point",
-    "evaluate",
     "expand_base_fp",
     "expand_base_p",
     "fib",
@@ -69,7 +64,6 @@ __all__ = [
     "find_counterexample",
     "is_prime",
     "lucas_binomial_residue",
-    "nu_p_fib",
     "nu_p_fibonomial_oracle",
     "nu_p_int",
     "render",

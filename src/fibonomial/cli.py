@@ -24,7 +24,7 @@ from .conjecture import (
 from .core import fib, fib_mod, fibonomial, fibonomial_row_mod
 from .radix import expand_base_fp, expand_base_p
 from .render import FORMATS, KINDS, RenderSpec, render
-from .valuation import carry_valuation, entry_point, nu_p_fibonomial_oracle
+from .valuation import carry_valuation, entry_point, is_prime, nu_p_fibonomial_oracle
 
 SWEEP_DIR_ENV = "FIBONOMIAL_SWEEP_DIR"
 DEFAULT_EXACT_CAP = 1000
@@ -63,6 +63,8 @@ def _cmd_fibonomial(args: argparse.Namespace) -> int:
         raise ValueError(
             f"fibonomial arguments must be >= 0, got ({args.n}, {args.k})")
     if args.mod is not None:
+        if args.mod < 2:  # checked here too, as k > n computes no row
+            raise ValueError(f"modulus must be >= 2, got {args.mod}")
         if args.k > args.n:
             value = 0
         else:
@@ -104,11 +106,17 @@ def _cmd_valuation(args: argparse.Namespace) -> int:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     if args.base == "p":
-        vec = expand_base_p(args.n, args.prime)
+        if not is_prime(args.prime):
+            raise ValueError(f"{args.prime} is not prime")
+        pstar = None
+        digits = expand_base_p(args.n, args.prime)
     else:
-        vec = expand_base_fp(args.n, entry_point(args.prime))
-    human = "(" + " ".join(str(d) for d in vec.digits) + ")"
-    _emit(args, human, vec.to_json())
+        profile = entry_point(args.prime)
+        pstar = profile.p_star
+        digits = expand_base_fp(args.n, profile)
+    human = "(" + " ".join(str(d) for d in digits) + ")"
+    _emit(args, human, {"base": args.base, "p": args.prime, "pstar": pstar,
+                        "digits": list(digits)})
     return EXIT_OK
 
 
@@ -155,13 +163,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         directory = os.environ.get(SWEEP_DIR_ENV, ".")
         out = os.path.join(directory, f"sweep_p{args.prime}_rows{args.rows}.jsonl")
     try:
-        report = open(out, "w", encoding="ascii")  # fail before the sweep, not after
+        # Fail before the sweep, not after; append mode leaves an earlier
+        # report intact should the sweep stop on an oracle mismatch.
+        open(out, "a", encoding="ascii").close()
     except OSError as exc:
         raise ValueError(f"cannot write the report: {exc}") from None
-    with report:
-        record = verify_conjecture(profile, args.rows, jobs=args.jobs,
-                                   oracle_stride=args.oracle_stride)
-        record.write_jsonl(report)
+    record = verify_conjecture(profile, args.rows, jobs=args.jobs,
+                               oracle_stride=args.oracle_stride)
+    try:
+        with open(out, "w", encoding="ascii") as report:
+            record.write_jsonl(report)
+    except OSError as exc:
+        raise ValueError(f"cannot write the report: {exc}") from None
     print(f"p={record.p} rows={record.rows} method={record.method} "
           f"counterexamples={len(record.counterexamples)} "
           f"seconds={record.seconds:.2f}")

@@ -98,8 +98,8 @@ def _pairs_divisible(nd: tuple[int, ...], kd: tuple[int, ...], p: int) -> bool:
 def digit_product_divisible(n: int, k: int, profile: PrimeProfile) -> bool:
     """Whether p divides the product of positionwise fibonomial coefficients
     of the digits of n and k in the entry-point base (k zero-padded)."""
-    nd = expand_base_fp(n, profile).digits
-    kd = expand_base_fp(k, profile).digits
+    nd = expand_base_fp(n, profile)
+    kd = expand_base_fp(k, profile)
     return _pairs_divisible(nd, kd, profile.p)
 
 
@@ -221,7 +221,7 @@ def _sweep_rows(
     and the oracle prefix table recheck that carry test.
     """
     p = profile.p
-    digits = [expand_base_fp(n, profile).digits for n in range(hi)]
+    digits = [expand_base_fp(n, profile) for n in range(hi)]
     sums = [sum(d) for d in digits]
     # table[a][b]: whether p divides the digit factor C(a, b)_F; b > a gives
     # the zero coefficient, which p divides. Every digit of n < hi is below
@@ -305,8 +305,8 @@ def lucas_binomial_residue(n: int, k: int, p: int) -> int:
         raise ValueError(f"{p} is not prime")
     if n < 0 or k < 0:
         raise ValueError(f"arguments must be >= 0, got ({n}, {k})")
-    nd = expand_base_p(n, p).digits
-    kd = expand_base_p(k, p).digits
+    nd = expand_base_p(n, p)
+    kd = expand_base_p(k, p)
     out = 1
     for a, b in zip_longest(nd, kd, fillvalue=0):
         out = out * binomial(a, b) % p

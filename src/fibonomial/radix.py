@@ -9,50 +9,10 @@ every later digit is below p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .valuation import PrimeProfile
-
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Little-endian digits of a non-negative integer.
-
-    pstar is None for a uniform base-p expansion; otherwise the digits live
-    in the mixed-radix base (1, pstar, pstar*p, pstar*p**2, ...). Canonical
-    form carries no trailing zero digit, and zero is the empty vector.
-    """
-
-    digits: tuple[int, ...]
-    p: int
-    pstar: int | None = None
-
-    def bound(self, i: int) -> int:
-        """Exclusive upper bound for the digit at position i."""
-        if self.pstar is not None and i == 0:
-            return self.pstar
-        return self.p
-
-    def validate(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"base must be >= 2, got {self.p}")
-        if self.pstar is not None and self.pstar < 2:
-            raise ValueError(f"units radix must be >= 2, got {self.pstar}")
-        for i, d in enumerate(self.digits):
-            if not 0 <= d < self.bound(i):
-                raise ValueError(
-                    f"digit {d} at position {i} outside [0, {self.bound(i)})")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("non-canonical digit vector: trailing zero")
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "base": "p" if self.pstar is None else "Fp",
-            "p": self.p,
-            "pstar": self.pstar,
-            "digits": list(self.digits),
-        }
 
 
 @dataclass(frozen=True)
@@ -71,8 +31,8 @@ class CarryReport:
     digit_sums: tuple[int, ...]
 
 
-def expand_base_p(n: int, p: int) -> DigitVector:
-    """Little-endian base-p digits of n; zero expands to the empty vector."""
+def expand_base_p(n: int, p: int) -> tuple[int, ...]:
+    """Little-endian base-p digits of n; zero expands to the empty tuple."""
     if n < 0:
         raise ValueError(f"cannot expand negative integer {n}")
     if p < 2:
@@ -81,32 +41,21 @@ def expand_base_p(n: int, p: int) -> DigitVector:
     while n:
         n, d = divmod(n, p)
         digits.append(d)
-    return DigitVector(tuple(digits), p)
+    return tuple(digits)
 
 
-def expand_base_fp(n: int, profile: "PrimeProfile") -> DigitVector:
-    """Digits of n in the entry-point base of profile.
+def expand_base_fp(n: int, profile: "PrimeProfile") -> tuple[int, ...]:
+    """Little-endian digits of n in the entry-point base of profile.
 
     The units digit is n mod z (z = profile.p_star); the remaining digits
-    are the plain base-p expansion of n // z.
+    are the plain base-p expansion of n // z. Zero expands to the empty
+    tuple, and no other expansion ends in a zero digit.
     """
     if n < 0:
         raise ValueError(f"cannot expand negative integer {n}")
     q, units = divmod(n, profile.p_star)
-    rest = expand_base_p(q, profile.p).digits
-    digits = (units, *rest) if (rest or units) else ()
-    return DigitVector(digits, profile.p, profile.p_star)
-
-
-def evaluate(vec: DigitVector) -> int:
-    """Inverse of expansion: the integer a digit vector denotes."""
-    vec.validate()
-    total = 0
-    place = 1
-    for i, digit in enumerate(vec.digits):
-        total += digit * place
-        place *= vec.bound(i)
-    return total
+    rest = expand_base_p(q, profile.p)
+    return (units, *rest) if (rest or units) else ()
 
 
 def add_with_carries(a: int, b: int, profile: "PrimeProfile") -> CarryReport:
@@ -123,8 +72,8 @@ def add_with_carries(a: int, b: int, profile: "PrimeProfile") -> CarryReport:
     qa, ra = divmod(a, z)
     qb, rb = divmod(b, z)
     across = ra + rb >= z
-    da = expand_base_p(qa, p).digits
-    db = expand_base_p(qb, p).digits
+    da = expand_base_p(qa, p)
+    db = expand_base_p(qb, p)
     width = max(len(da), len(db)) + 1
     carry = 1 if across else 0
     carries = 0

@@ -1,9 +1,9 @@
 """Entry points and p-adic valuations.
 
-The fast paths here (closed-form Fibonacci valuations, carry-counted
-fibonomial valuations) are only ever trusted for odd primes and are
-cross-checked in the test suite against the exact big-integer oracles
-also defined here. For p = 2 the oracle path is the only valid one.
+The fast path here (carry-counted fibonomial valuations) is only ever
+trusted for odd primes and is cross-checked in the test suite against the
+exact big-integer oracles also defined here. For p = 2 the oracle path is
+the only valid one.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class Valuation:
     """A p-adic exponent together with the path that produced it."""
 
     exponent: int
-    method: str  # "carry" | "oracle" | "formula"
+    method: str  # "carry" | "oracle"
 
 
 def is_prime(n: int) -> bool:
@@ -101,27 +101,6 @@ def nu_p_int(x: int, p: int) -> Valuation:
         x //= p
         e += 1
     return Valuation(e, "oracle")
-
-
-def nu_p_fib(n: int, profile: PrimeProfile) -> Valuation:
-    """nu_p(F_n) for odd p by the entry-point ladder.
-
-    Zero unless z = p_star divides n; otherwise nu_p(F_z) plus the number
-    of extra factors of p in n / z. The ladder breaks down at p = 2, which
-    must go through nu_p_int(fib(n), 2) instead.
-    """
-    if n < 1:
-        raise ValueError(f"Fibonacci index must be >= 1, got {n}")
-    if profile.p == 2:
-        raise ValueError("closed form is invalid for p = 2; use nu_p_int(fib(n), 2)")
-    q, r = divmod(n, profile.p_star)
-    if r:
-        return Valuation(0, "formula")
-    extra = 0
-    while q % profile.p == 0:
-        q //= profile.p
-        extra += 1
-    return Valuation(profile.nu_p_F_pstar + extra, "formula")
 
 
 def carry_valuation(m: int, n: int, profile: PrimeProfile) -> Valuation:

@@ -54,6 +54,17 @@ def digits_le(n, base):
     return tuple(out)
 
 
+def digits_value(digits, p, pstar=None):
+    """The integer that little-endian digits denote in base p or, given
+    pstar, in the mixed radix with place values 1, pstar, pstar*p, ..."""
+    total = 0
+    place = 1
+    for i, d in enumerate(digits):
+        total += d * place
+        place *= pstar if i == 0 and pstar is not None else p
+    return total
+
+
 def kummer_carries(a, b, base):
     """Number of carries when adding a and b in the given base."""
     carry = 0
@@ -84,10 +95,10 @@ def sweep_rows_per_pair(profile, lo, hi, method, stride, prefix):
     p = profile.p
     bad = []
     for n in range(lo, hi):
-        nd = expand_base_fp(n, profile).digits
+        nd = expand_base_fp(n, profile)
         row_base = n * (n + 1) // 2
         for k in range(n + 1):
-            kd = expand_base_fp(k, profile).digits
+            kd = expand_base_fp(k, profile)
             rhs = _pairs_divisible(nd, kd, p)
             if method == "carry":
                 e = carry_valuation(k, n - k, profile).exponent

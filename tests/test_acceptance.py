@@ -7,12 +7,14 @@ output); a failed assertion is the FAIL signal.
 
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
 import time
 from itertools import accumulate
 
+import fibonomial
 from fibonomial.conjecture import (check_period_mod2, find_counterexample,
                                    verify_conjecture)
 from fibonomial.core import fib, fib_mod
@@ -22,6 +24,10 @@ from fibonomial.valuation import Relation, carry_valuation, entry_point, is_prim
 from oracles import fib_seq, fibotorial_seq, naive_fibonomial, nu
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
+# CLI subprocesses import the package under test, whether or not PYTHONPATH
+# names it.
+CLI_ENV = {**os.environ,
+           "PYTHONPATH": str(pathlib.Path(fibonomial.__file__).resolve().parents[1])}
 
 
 def _pass(label, detail):
@@ -33,7 +39,7 @@ def test_acceptance_1_worked_valuation_via_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "fibonomial", "valuation", "57", "26",
          "--prime", "7"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CLI_ENV)
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "2"
@@ -184,7 +190,7 @@ def test_acceptance_9_parallel_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "fibonomial", "verify", "--prime", "7",
              "--rows", "200", "--jobs", str(jobs), "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CLI_ENV)
         assert proc.returncode == 0, proc.stderr
         files.append(out.read_bytes())
     assert files[0] == files[1]

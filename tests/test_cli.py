@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import fibonomial.conjecture as conjecture
 from fibonomial.cli import main
 from fibonomial.core import fibonomial
 from fibonomial.render import RenderSpec, render
-from fibonomial.valuation import carry_valuation, entry_point
+from fibonomial.valuation import Valuation, carry_valuation, entry_point
 
 
 def run(capsys, *argv):
@@ -40,6 +41,9 @@ def test_fibonomial_query(capsys):
     for argv in ("5 -1 --mod 5", "7 -2 --mod 1000", "-1 0 --mod 5", "-1 0"):
         code, out, err = run(capsys, "fibonomial", *argv.split())
         assert code == 2 and out == "" and "must be >= 0" in err
+    for argv in ("3 8 --mod 0", "3 8 --mod 1", "3 8 --mod -4"):
+        code, out, err = run(capsys, "fibonomial", *argv.split())
+        assert code == 2 and out == "" and "modulus must be >= 2" in err
     code, out, _ = run(capsys, "fibonomial", "57", "26", "--json")
     payload = json.loads(out)
     assert payload["value"] == fibonomial(57, 26)
@@ -103,8 +107,13 @@ def test_expand_query(capsys):
                        "--json")
     assert json.loads(out) == {"base": "Fp", "p": 11, "pstar": 10,
                                "digits": [0, 10]}
+    code, out, _ = run(capsys, "expand", "109", "--base", "p", "--prime", "7", "--json")
+    assert out == '{"base": "p", "p": 7, "pstar": null, "digits": [4, 1, 2]}\n'
     code, _, err = run(capsys, "expand", "100", "--base", "q", "--prime", "11")
     assert code == 2
+    for base in ("p", "Fp"):
+        code, out, err = run(capsys, "expand", "100", "--base", base, "--prime", "4")
+        assert code == 2 and out == "" and "4 is not prime" in err
 
 
 def test_lucas_query(capsys):
@@ -173,6 +182,19 @@ def test_verify_refuses_less_relation_without_flag(tmp_path, capsys, monkeypatch
     report.write_bytes(b"an earlier report\n")
     code, _, _ = run(capsys, "verify", "--prime", "11", "--rows", "50")
     assert code == 2
+    assert report.read_bytes() == b"an earlier report\n"
+
+
+def test_verify_oracle_mismatch_keeps_earlier_report(tmp_path, capsys, monkeypatch):
+    def off_by_one(m, n, profile):
+        return Valuation(carry_valuation(m, n, profile).exponent + 1, "carry")
+
+    monkeypatch.setattr(conjecture, "carry_valuation", off_by_one)
+    report = tmp_path / "sweep.jsonl"
+    report.write_bytes(b"an earlier report\n")
+    code, out, err = run(capsys, "verify", "--prime", "7", "--rows", "40",
+                         "--jobs", "1", "--out", str(report))
+    assert code == 2 and out == "" and "disagrees with oracle" in err
     assert report.read_bytes() == b"an earlier report\n"
 
 

@@ -10,7 +10,6 @@ from fibonomial.valuation import (
     entry_point,
     fibotorial_valuations,
     is_prime,
-    nu_p_fib,
     nu_p_fibonomial_oracle,
     nu_p_int,
 )
@@ -91,16 +90,24 @@ def test_nu_p_int_rejects_zero():
         nu_p_int(6, 1)
 
 
+def ladder(n, profile):
+    """nu_p(F_n) by the entry-point ladder: 0 unless z divides n, and
+    otherwise nu_p(F_z) + nu_p(n / z)."""
+    q, r = divmod(n, profile.p_star)
+    return 0 if r else profile.nu_p_F_pstar + nu(q, profile.p)
+
+
 def test_nu_p_fib_examples():
     p5 = entry_point(5)
-    assert nu_p_fib(10, p5).exponent == 1
-    assert nu_p_fib(7, p5).exponent == 0
-    assert nu_p_fib(25, p5).exponent == 2
+    assert ladder(10, p5) == nu_p_int(fib(10), 5).exponent == 1
+    assert ladder(7, p5) == nu_p_int(fib(7), 5).exponent == 0
+    assert ladder(25, p5) == nu_p_int(fib(25), 5).exponent == 2
     for p in ODD_PRIMES:
         prof = entry_point(p)
-        val = nu_p_fib(prof.p_star * p, prof)
-        assert val.exponent == prof.nu_p_F_pstar + 1
-        assert val.method == "formula"
+        n = prof.p_star * p
+        assert ladder(n, prof) == nu_p_int(fib(n), p).exponent == prof.nu_p_F_pstar + 1
+    # The ladder holds for odd primes only: nu_2(F_6) = nu_2(8) = 3, not 2.
+    assert ladder(6, entry_point(2)) == 2 != nu_p_int(fib(6), 2).exponent
 
 
 def test_nu_p_fib_formula_matches_oracle():
@@ -108,14 +115,7 @@ def test_nu_p_fib_formula_matches_oracle():
     for p in ODD_PRIMES:
         prof = entry_point(p)
         for n in range(1, 401):
-            assert nu_p_fib(n, prof).exponent == nu(xs[n - 1], p), (p, n)
-
-
-def test_nu_p_fib_rejects_p2_and_bad_index():
-    with pytest.raises(ValueError):
-        nu_p_fib(6, entry_point(2))
-    with pytest.raises(ValueError):
-        nu_p_fib(0, entry_point(7))
+            assert ladder(n, prof) == nu(xs[n - 1], p), (p, n)
 
 
 def test_valuation_lift_by_prime_multiplier():
