@@ -162,14 +162,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if out is None:
         directory = os.environ.get(SWEEP_DIR_ENV, ".")
         out = os.path.join(directory, f"sweep_p{args.prime}_rows{args.rows}.jsonl")
+    created = not os.path.exists(out)
     try:
         # Fail before the sweep, not after; append mode leaves an earlier
         # report intact should the sweep stop on an oracle mismatch.
         open(out, "a", encoding="ascii").close()
     except OSError as exc:
         raise ValueError(f"cannot write the report: {exc}") from None
-    record = verify_conjecture(profile, args.rows, jobs=args.jobs,
-                               oracle_stride=args.oracle_stride)
+    try:
+        record = verify_conjecture(profile, args.rows, jobs=args.jobs,
+                                   oracle_stride=args.oracle_stride)
+    except BaseException:
+        if created:  # the check above made it; leave no empty report
+            os.remove(out)
+        raise
     try:
         with open(out, "w", encoding="ascii") as report:
             record.write_jsonl(report)
@@ -257,7 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--out", default=None,
                    help=f"JSONL path (default: ${SWEEP_DIR_ENV} or cwd)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker processes, never more than the rows; each "
+                        "sweeps one contiguous span of rows (default: the "
+                        "core count)")
     p.add_argument("--oracle-stride", type=int, default=37,
                    help="oracle cross-check every Nth pair (0 disables)")
     p.add_argument("--counterexample", action="store_true",

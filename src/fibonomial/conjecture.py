@@ -17,7 +17,8 @@ import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import chain, repeat, zip_longest
+from math import isqrt
 from operator import getitem
 from typing import IO
 
@@ -107,52 +108,44 @@ def validate_sweep(
     profile: PrimeProfile,
     rows: int,
     *,
-    method: str | None = None,
     jobs: int = 1,
     oracle_stride: int | None = 37,
 ) -> str:
     """Reject a sweep verify_conjecture would refuse, before any work or
-    output; return the method it would use."""
+    output; return the method it would use: the exact oracle for p = 2,
+    carry counting for every odd prime."""
     if profile.relation is Relation.LESS:
         raise ValueError(
             f"entry point {profile.p_star} of {profile.p} is below the prime, so the "
             "biconditional provably fails; use find_counterexample (verify "
             "--counterexample) for the witness")
-    if method is None:
-        method = "oracle" if profile.p == 2 else "carry"
-    if method not in ("carry", "oracle"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "carry" and profile.p == 2:
-        raise ValueError("carry counting requires an odd prime; use the oracle for 2")
     if rows < 0:
         raise ValueError(f"rows must be >= 0, got {rows}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if oracle_stride is not None and oracle_stride < 0:
         raise ValueError(f"oracle stride must be >= 0, got {oracle_stride}")
-    return method
+    return "oracle" if profile.p == 2 else "carry"
 
 
 def verify_conjecture(
     profile: PrimeProfile,
     rows: int,
     *,
-    method: str | None = None,
     jobs: int = 1,
     oracle_stride: int | None = 37,
 ) -> SweepRecord:
     """Check the biconditional at every (n, k) with 0 <= k <= n < rows.
 
-    method is "carry" (odd p; the default) or "oracle" (exact big-integer
-    valuations; mandatory for p = 2). In carry mode every oracle_stride-th
-    pair in row-major order is recomputed with the oracle; a mismatch there
-    is an arithmetic bug and raises, never a counterexample. Rows may be
-    partitioned across processes with jobs > 1; results are merged in
-    deterministic (n, k) order either way. Arguments are checked by
-    validate_sweep.
+    Odd primes are swept by carry counting, and every oracle_stride-th
+    pair in row-major order is recomputed with the exact oracle; a mismatch
+    there is an arithmetic bug and raises, never a counterexample. p = 2 is
+    swept with the oracle's exact valuations throughout. With jobs > 1 the
+    rows are split into at most jobs contiguous spans, one per worker
+    process; the disagreements come out in (n, k) order either way.
+    Arguments are checked by validate_sweep.
     """
-    method = validate_sweep(profile, rows, method=method, jobs=jobs,
-                            oracle_stride=oracle_stride)
+    method = validate_sweep(profile, rows, jobs=jobs, oracle_stride=oracle_stride)
 
     start = time.perf_counter()
     stride = oracle_stride or 0
@@ -160,45 +153,30 @@ def verify_conjecture(
         prefix = fibotorial_valuations(max(rows - 1, 0), profile.p)
     else:
         prefix = ()
-    chunks = _row_chunks(rows, jobs)
-    if len(chunks) <= 1:
-        parts = [_sweep_rows(profile, lo, hi, method, stride, prefix)
-                 for lo, hi in chunks]
+    spans = _row_chunks(rows, jobs)
+    work = (repeat(profile), [lo for lo, _ in spans], [hi for _, hi in spans],
+            repeat(method), repeat(stride), repeat(prefix))
+    if len(spans) <= 1:
+        parts = list(map(_sweep_rows, *work))
     else:
         # Imported here: the process machinery costs every CLI command
         # tens of milliseconds of start-up, and only pooled sweeps use it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(
-                _sweep_rows,
-                [profile] * len(chunks),
-                [lo for lo, _ in chunks],
-                [hi for _, hi in chunks],
-                [method] * len(chunks),
-                [stride] * len(chunks),
-                [prefix] * len(chunks),
-            ))
-    bad = sorted((v for part in parts for v in part), key=lambda v: (v.n, v.k))
-    return SweepRecord(profile.p, rows, method, tuple(bad),
-                       time.perf_counter() - start)
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+            parts = list(pool.map(_sweep_rows, *work))
+    # The spans are contiguous and map keeps their order.
+    bad = tuple(chain.from_iterable(parts))
+    return SweepRecord(profile.p, rows, method, bad, time.perf_counter() - start)
 
 
 def _row_chunks(rows: int, jobs: int) -> list[tuple[int, int]]:
-    """Split [0, rows) into contiguous spans of roughly equal pair count."""
-    if jobs <= 1 or rows <= 1:
-        return [(0, rows)]
-    pieces = min(rows, jobs * 4)
-    total = rows * (rows + 1) / 2
-    bounds = [0]
-    acc = 0.0
-    for n in range(rows):
-        acc += n + 1
-        if acc >= total * len(bounds) / pieces and len(bounds) < pieces:
-            bounds.append(n + 1)
-    bounds.append(rows)
-    return [(bounds[i], bounds[i + 1])
-            for i in range(len(bounds) - 1) if bounds[i] < bounds[i + 1]]
+    """Split [0, rows) into at most min(jobs, rows) contiguous, non-empty
+    spans of about equal pair count. Rows [0, b) hold b(b + 1)/2 pairs, so
+    the i-th of j spans ends near row rows * sqrt(i / j)."""
+    jobs = max(min(jobs, rows), 1)
+    ends = [isqrt(i * rows * rows // jobs) for i in range(jobs + 1)]
+    return [(lo, hi) for lo, hi in zip(ends, ends[1:]) if lo < hi]
 
 
 def _sweep_rows(

@@ -198,6 +198,20 @@ def test_verify_oracle_mismatch_keeps_earlier_report(tmp_path, capsys, monkeypat
     assert report.read_bytes() == b"an earlier report\n"
 
 
+def test_verify_oracle_mismatch_leaves_no_new_report(tmp_path, capsys, monkeypatch):
+    # The writability check creates a report path that did not exist; a
+    # sweep stopped by an oracle mismatch removes it again.
+    def off_by_one(m, n, profile):
+        return Valuation(carry_valuation(m, n, profile).exponent + 1, "carry")
+
+    monkeypatch.setattr(conjecture, "carry_valuation", off_by_one)
+    report = tmp_path / "fresh.jsonl"
+    code, out, err = run(capsys, "verify", "--prime", "7", "--rows", "40",
+                         "--jobs", "1", "--out", str(report))
+    assert code == 2 and out == "" and "disagrees with oracle" in err
+    assert not report.exists()
+
+
 def test_verify_counterexample_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--prime", "11", "--counterexample")
     assert code == 1

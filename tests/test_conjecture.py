@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import math
@@ -89,22 +90,16 @@ def test_verify_conjecture_small_sweeps():
 
 
 def test_verify_conjecture_oracle_runs():
-    # The mod-2 statement over its first full period, and p = 3 over 200
-    # rows, both through the exact big-integer method.
+    # The mod-2 statement over its first full period, through the exact
+    # big-integer method.
     rec2 = verify_conjecture(entry_point(2), 48)
     assert rec2.method == "oracle"
     assert rec2.counterexamples == ()
-    rec3 = verify_conjecture(entry_point(3), 200, method="oracle")
-    assert rec3.counterexamples == ()
 
 
 def test_verify_conjecture_method_and_relation_guards():
     with pytest.raises(ValueError):
         verify_conjecture(entry_point(11), 10)
-    with pytest.raises(ValueError):
-        verify_conjecture(entry_point(2), 10, method="carry")
-    with pytest.raises(ValueError):
-        verify_conjecture(entry_point(7), 10, method="bogus")
     with pytest.raises(ValueError):
         verify_conjecture(entry_point(7), -1)
 
@@ -115,6 +110,51 @@ def test_verify_conjecture_parallel_matches_serial():
     parallel = verify_conjecture(prof, 90, jobs=3)
     assert serial.counterexamples == parallel.counterexamples
     assert serial.jsonl_lines() == parallel.jsonl_lines()
+
+
+def test_row_chunks_split_rows_into_balanced_spans():
+    # jobs = 10**9 returns at once: the split costs O(min(jobs, rows)).
+    for rows in range(61):
+        total = rows * (rows + 1) // 2
+        for jobs in (*range(1, 10), 10 ** 9):
+            spans = conjecture._row_chunks(rows, jobs)
+            assert [n for lo, hi in spans for n in range(lo, hi)] == list(range(rows))
+            assert all(lo < hi for lo, hi in spans)
+            assert len(spans) <= min(jobs, rows)
+            pairs = [(hi * (hi + 1) - lo * (lo + 1)) // 2 for lo, hi in spans]
+            assert all(x <= total / len(spans) + rows for x in pairs), (rows, jobs, spans)
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: runs map in this process and
+    records the worker count asked for."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("rows, jobs", [(10, 50), (200, 8)])
+def test_verify_conjecture_pool_has_one_worker_per_span(rows, jobs, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    prof = entry_point(7)
+    pooled = verify_conjecture(prof, rows, jobs=jobs)
+    assert _InProcessPool.sizes == [len(conjecture._row_chunks(rows, jobs))]
+    assert _InProcessPool.sizes[0] <= min(rows, jobs)
+    serial = verify_conjecture(prof, rows, jobs=1)
+    assert pooled.jsonl_lines() == serial.jsonl_lines()
+    assert pooled.counterexamples == serial.counterexamples
 
 
 def _sweeps_agree(p, rows, method, stride):
