@@ -156,8 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--rows is required unless --counterexample is given")
     # Checked before the report is opened, so a refused sweep leaves any
     # existing report as it was.
-    validate_sweep(profile, args.rows, jobs=args.jobs,
-                   oracle_stride=args.oracle_stride)
+    validate_sweep(profile, args.rows, jobs=args.jobs)
     out = args.out
     if out is None:
         directory = os.environ.get(SWEEP_DIR_ENV, ".")
@@ -170,8 +169,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ValueError(f"cannot write the report: {exc}") from None
     try:
-        record = verify_conjecture(profile, args.rows, jobs=args.jobs,
-                                   oracle_stride=args.oracle_stride)
+        record = verify_conjecture(profile, args.rows, jobs=args.jobs)
     except BaseException:
         if created:  # the check above made it; leave no empty report
             os.remove(out)
@@ -181,7 +179,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             record.write_jsonl(report)
     except OSError as exc:
         raise ValueError(f"cannot write the report: {exc}") from None
-    print(f"p={record.p} rows={record.rows} method={record.method} "
+    print(f"p={record.p} rows={record.rows} method=carry "
           f"counterexamples={len(record.counterexamples)} "
           f"seconds={record.seconds:.2f}")
     print(f"wrote {out}")
@@ -267,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes, never more than the rows; each "
                         "sweeps one contiguous span of rows (default: the "
                         "core count)")
-    p.add_argument("--oracle-stride", type=int, default=37,
-                   help="oracle cross-check every Nth pair (0 disables)")
     p.add_argument("--counterexample", action="store_true",
                    help="construct the witness for primes with entry point "
                         "below the prime")

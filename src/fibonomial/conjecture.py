@@ -55,17 +55,18 @@ class SweepRecord:
 
     p: int
     rows: int
-    method: str  # "carry" | "oracle"
     counterexamples: tuple[ConjectureVerdict, ...]
     seconds: float
 
     def jsonl_lines(self) -> list[str]:
         """Header, one line per disagreement, then a summary.
 
-        The summary's "seconds" is written as null so identical sweeps
-        serialize identically; the measured duration stays on the record.
+        The header names the left-hand side's method, carry counting, for
+        every prime. The summary's "seconds" is written as null so identical
+        sweeps serialize identically; the measured duration stays on the
+        record.
         """
-        lines = [json.dumps({"p": self.p, "rows": self.rows, "method": self.method})]
+        lines = [json.dumps({"p": self.p, "rows": self.rows, "method": "carry"})]
         for v in self.counterexamples:
             lines.append(json.dumps({
                 "p": v.p, "n": v.n, "k": v.k,
@@ -104,16 +105,9 @@ def digit_product_divisible(n: int, k: int, profile: PrimeProfile) -> bool:
     return _pairs_divisible(nd, kd, profile.p)
 
 
-def validate_sweep(
-    profile: PrimeProfile,
-    rows: int,
-    *,
-    jobs: int = 1,
-    oracle_stride: int | None = 37,
-) -> str:
+def validate_sweep(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> None:
     """Reject a sweep verify_conjecture would refuse, before any work or
-    output; return the method it would use: the exact oracle for p = 2,
-    carry counting for every odd prime."""
+    output."""
     if profile.relation is Relation.LESS:
         raise ValueError(
             f"entry point {profile.p_star} of {profile.p} is below the prime, so the "
@@ -123,39 +117,24 @@ def validate_sweep(
         raise ValueError(f"rows must be >= 0, got {rows}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if oracle_stride is not None and oracle_stride < 0:
-        raise ValueError(f"oracle stride must be >= 0, got {oracle_stride}")
-    return "oracle" if profile.p == 2 else "carry"
 
 
-def verify_conjecture(
-    profile: PrimeProfile,
-    rows: int,
-    *,
-    jobs: int = 1,
-    oracle_stride: int | None = 37,
-) -> SweepRecord:
+def verify_conjecture(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> SweepRecord:
     """Check the biconditional at every (n, k) with 0 <= k <= n < rows.
 
-    Odd primes are swept by carry counting, and every oracle_stride-th
-    pair in row-major order is recomputed with the exact oracle; a mismatch
-    there is an arithmetic bug and raises, never a counterexample. p = 2 is
-    swept with the oracle's exact valuations throughout. With jobs > 1 the
-    rows are split into at most jobs contiguous spans, one per worker
-    process; the disagreements come out in (n, k) order either way.
-    Arguments are checked by validate_sweep.
+    The left-hand side is the carry test, and the exact big-integer oracle
+    confirms it at every pair; a mismatch is an arithmetic bug and raises,
+    never a counterexample. With jobs > 1 the rows are split into at most
+    jobs contiguous spans, one per worker process; the disagreements come
+    out in (n, k) order either way. Arguments are checked by validate_sweep.
     """
-    method = validate_sweep(profile, rows, jobs=jobs, oracle_stride=oracle_stride)
+    validate_sweep(profile, rows, jobs=jobs)
 
     start = time.perf_counter()
-    stride = oracle_stride or 0
-    if method == "oracle" or stride:
-        prefix = fibotorial_valuations(max(rows - 1, 0), profile.p)
-    else:
-        prefix = ()
+    prefix = fibotorial_valuations(max(rows - 1, 0), profile.p)
     spans = _row_chunks(rows, jobs)
     work = (repeat(profile), [lo for lo, _ in spans], [hi for _, hi in spans],
-            repeat(method), repeat(stride), repeat(prefix))
+            repeat(prefix))
     if len(spans) <= 1:
         parts = list(map(_sweep_rows, *work))
     else:
@@ -167,7 +146,7 @@ def verify_conjecture(
             parts = list(pool.map(_sweep_rows, *work))
     # The spans are contiguous and map keeps their order.
     bad = tuple(chain.from_iterable(parts))
-    return SweepRecord(profile.p, rows, method, bad, time.perf_counter() - start)
+    return SweepRecord(profile.p, rows, bad, time.perf_counter() - start)
 
 
 def _row_chunks(rows: int, jobs: int) -> list[tuple[int, int]]:
@@ -183,8 +162,6 @@ def _sweep_rows(
     profile: PrimeProfile,
     lo: int,
     hi: int,
-    method: str,
-    stride: int,
     prefix: tuple[int, ...],
 ) -> list[ConjectureVerdict]:
     """The disagreements among the pairs of rows [lo, hi), in (n, k) order.
@@ -195,8 +172,8 @@ def _sweep_rows(
     entry-point base lowers the digit sum by z - 1 for a carry out of the
     units place and by p - 1 for any other carry, so the sums differ
     exactly when the addition carries, which is when p divides the
-    coefficient, as nu_p(F_z) >= 1. At every stride-th pair carry_valuation
-    and the oracle prefix table recheck that carry test.
+    coefficient (Knuth and Wilf), p = 2 included. The oracle prefix table
+    rechecks that carry test at every pair, a whole row at a time.
     """
     p = profile.p
     digits = [expand_base_fp(n, profile) for n in range(hi)]
@@ -209,28 +186,24 @@ def _sweep_rows(
              for row in iter_fibonomial_rows_mod(size, p)]
     bad = []
     for n in range(lo, hi):
+        head, total = sums[:n + 1], sums[n]
+        lhs = [a + b != total for a, b in zip(head, reversed(head))]
+        # The oracle exponent at (n, k) is top - terms[k] - terms[n - k].
+        terms, top = prefix[:n + 1], prefix[n]
+        if lhs != [a + b < top for a, b in zip(terms, reversed(terms))]:
+            k = next(k for k, left in enumerate(lhs)
+                     if left != (terms[k] + terms[n - k] < top))
+            raise ArithmeticError(
+                f"carry test {lhs[k]} disagrees with oracle exponent "
+                f"{top - terms[k] - terms[n - k]} at (n={n}, k={k}, p={p})")
         # map stops at the last digit of k <= n; the digits of k it skips
         # are 0, and the factor C(a, 0)_F = 1 is never divisible.
         factors = [table[a] for a in digits[n]]
         rhs = [any(map(getitem, factors, d)) for d in digits[:n + 1]]
-        if method == "carry":
-            head, total = sums[:n + 1], sums[n]
-            lhs = [a + b != total for a, b in zip(head, reversed(head))]
-        else:
-            lhs = [prefix[n] - prefix[k] - prefix[n - k] >= 1 for k in range(n + 1)]
         if lhs != rhs:
             bad.extend(ConjectureVerdict.compare(p, n, k, left, right)
                        for k, (left, right) in enumerate(zip(lhs, rhs))
                        if left != right)
-        if method == "carry" and stride:
-            row_base = n * (n + 1) // 2
-            for k in range(-row_base % stride, n + 1, stride):
-                e = carry_valuation(k, n - k, profile).exponent
-                want = prefix[n] - prefix[k] - prefix[n - k]
-                if want != e or lhs[k] != (want >= 1):
-                    raise ArithmeticError(
-                        f"carry valuation {e} (carry test {lhs[k]}) disagrees "
-                        f"with oracle {want} at (n={n}, k={k}, p={p})")
     return bad
 
 

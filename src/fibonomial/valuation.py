@@ -2,8 +2,10 @@
 
 The fast path here (carry-counted fibonomial valuations) is only ever
 trusted for odd primes and is cross-checked in the test suite against the
-exact big-integer oracles also defined here. For p = 2 the oracle path is
-the only valid one.
+exact big-integer oracles also defined here. For p = 2 the carry count
+gives wrong exponents (nu_2(F_6) = 3, not nu_2(F_3) + 1), so the oracle is
+the only valuation path there; whether the addition carries at all still
+decides divisibility by 2, which is all the conjecture sweep asks of it.
 """
 
 from __future__ import annotations

@@ -78,14 +78,18 @@ def kummer_carries(a, b, base):
     return count
 
 
-def sweep_rows_per_pair(profile, lo, hi, method, stride, prefix):
-    """The conjecture sweep's former loop over rows [lo, hi), the reference
-    for `conjecture._sweep_rows`: per pair it expands both digit vectors,
-    tests the digit product with `_pairs_divisible` and, in carry mode,
-    counts the carries with `carry_valuation`.
+def sweep_rows_per_pair(profile, lo, hi, prefix, method="oracle", stride=0):
+    """The conjecture sweep as a loop over single pairs of rows [lo, hi),
+    the reference for `conjecture._sweep_rows`: per pair it expands both
+    digit vectors and tests the digit product with `_pairs_divisible`.
+
+    The left-hand side comes from the oracle prefix table, or, with
+    method="carry" (odd p only), from `carry_valuation`'s exponent; then
+    every stride-th pair in row-major order also rechecks that exponent
+    against the prefix table, so the reference itself is confirmed.
 
     Unlike the rest of this module it calls the package, but only the
-    per-pair primitives that the table-driven sweep no longer uses in its
+    per-pair primitives that the table-driven sweep does not use in its
     inner loop.
     """
     from fibonomial.conjecture import ConjectureVerdict, _pairs_divisible
@@ -98,18 +102,16 @@ def sweep_rows_per_pair(profile, lo, hi, method, stride, prefix):
         nd = expand_base_fp(n, profile)
         row_base = n * (n + 1) // 2
         for k in range(n + 1):
-            kd = expand_base_fp(k, profile)
-            rhs = _pairs_divisible(nd, kd, p)
+            rhs = _pairs_divisible(nd, expand_base_fp(k, profile), p)
+            want = prefix[n] - prefix[k] - prefix[n - k]
             if method == "carry":
                 e = carry_valuation(k, n - k, profile).exponent
-                if stride and (row_base + k) % stride == 0:
-                    want = prefix[n] - prefix[k] - prefix[n - k]
-                    if want != e:
-                        raise ArithmeticError(
-                            f"carry valuation {e} disagrees with oracle {want} "
-                            f"at (n={n}, k={k}, p={p})")
+                if stride and (row_base + k) % stride == 0 and e != want:
+                    raise ArithmeticError(
+                        f"carry valuation {e} disagrees with oracle {want} "
+                        f"at (n={n}, k={k}, p={p})")
             else:
-                e = prefix[n] - prefix[k] - prefix[n - k]
+                e = want
             lhs = e >= 1
             if lhs != rhs:
                 bad.append(ConjectureVerdict.compare(p, n, k, lhs, rhs))

@@ -4,11 +4,10 @@ import os
 import subprocess
 import sys
 
-import fibonomial.conjecture as conjecture
 from fibonomial.cli import main
 from fibonomial.core import fibonomial
 from fibonomial.render import RenderSpec, render
-from fibonomial.valuation import Valuation, carry_valuation, entry_point
+from fibonomial.valuation import carry_valuation, entry_point
 
 
 def run(capsys, *argv):
@@ -185,11 +184,7 @@ def test_verify_refuses_less_relation_without_flag(tmp_path, capsys, monkeypatch
     assert report.read_bytes() == b"an earlier report\n"
 
 
-def test_verify_oracle_mismatch_keeps_earlier_report(tmp_path, capsys, monkeypatch):
-    def off_by_one(m, n, profile):
-        return Valuation(carry_valuation(m, n, profile).exponent + 1, "carry")
-
-    monkeypatch.setattr(conjecture, "carry_valuation", off_by_one)
+def test_verify_oracle_mismatch_keeps_earlier_report(tmp_path, capsys, corrupt_oracle):
     report = tmp_path / "sweep.jsonl"
     report.write_bytes(b"an earlier report\n")
     code, out, err = run(capsys, "verify", "--prime", "7", "--rows", "40",
@@ -198,13 +193,9 @@ def test_verify_oracle_mismatch_keeps_earlier_report(tmp_path, capsys, monkeypat
     assert report.read_bytes() == b"an earlier report\n"
 
 
-def test_verify_oracle_mismatch_leaves_no_new_report(tmp_path, capsys, monkeypatch):
+def test_verify_oracle_mismatch_leaves_no_new_report(tmp_path, capsys, corrupt_oracle):
     # The writability check creates a report path that did not exist; a
     # sweep stopped by an oracle mismatch removes it again.
-    def off_by_one(m, n, profile):
-        return Valuation(carry_valuation(m, n, profile).exponent + 1, "carry")
-
-    monkeypatch.setattr(conjecture, "carry_valuation", off_by_one)
     report = tmp_path / "fresh.jsonl"
     code, out, err = run(capsys, "verify", "--prime", "7", "--rows", "40",
                          "--jobs", "1", "--out", str(report))
@@ -226,7 +217,8 @@ def test_verify_usage_errors(tmp_path, capsys):
     assert code == 2 and "--rows" in err
     code, _, err = run(capsys, "verify", "--prime", "7", "--counterexample")
     assert code == 2  # relation is not LESS, no witness construction
-    for flags in (["--jobs", "0"], ["--oracle-stride", "-3"],
+    # --oracle-stride is retired: every pair is checked against the oracle.
+    for flags in (["--jobs", "0"], ["--oracle-stride", "5"],
                   ["--out", str(tmp_path / "missing" / "sweep.jsonl")]):
         code, _, err = run(capsys, "verify", "--prime", "7", "--rows", "60", *flags)
         assert code == 2 and "error:" in err, flags

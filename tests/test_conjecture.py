@@ -18,7 +18,7 @@ from fibonomial.conjecture import (
 )
 from fibonomial.core import fib, fib_mod, fibonomial_row_mod
 from fibonomial.radix import expand_base_fp
-from fibonomial.valuation import Valuation, carry_valuation, entry_point, is_prime
+from fibonomial.valuation import entry_point, is_prime
 
 from oracles import (
     digits_le,
@@ -82,7 +82,7 @@ def test_digit_product_matches_brute_force():
 def test_verify_conjecture_small_sweeps():
     rec = verify_conjecture(entry_point(7), 120)
     assert rec.counterexamples == ()
-    assert rec.method == "carry"
+    assert json.loads(rec.jsonl_lines()[0]) == {"p": 7, "rows": 120, "method": "carry"}
     assert rec.rows == 120
     assert rec.seconds >= 0
     rec5 = verify_conjecture(entry_point(5), 500)
@@ -90,10 +90,10 @@ def test_verify_conjecture_small_sweeps():
 
 
 def test_verify_conjecture_oracle_runs():
-    # The mod-2 statement over its first full period, through the exact
-    # big-integer method.
+    # The mod-2 statement over its first full period: the carry test, which
+    # the exact big-integer oracle confirms at every pair.
     rec2 = verify_conjecture(entry_point(2), 48)
-    assert rec2.method == "oracle"
+    assert json.loads(rec2.jsonl_lines()[0]) == {"p": 2, "rows": 48, "method": "carry"}
     assert rec2.counterexamples == ()
 
 
@@ -157,13 +157,15 @@ def test_verify_conjecture_pool_has_one_worker_per_span(rows, jobs, monkeypatch)
     assert pooled.counterexamples == serial.counterexamples
 
 
-def _sweeps_agree(p, rows, method, stride):
+def _sweeps_agree(p, rows, method="oracle", stride=0):
+    # method and stride choose how the per-pair reference takes its
+    # left-hand side; the sweep itself has one path.
     profile = entry_point(p)
     prefix = conjecture.fibotorial_valuations(rows - 1, p)
-    want = sweep_rows_per_pair(profile, 0, rows, method, stride, prefix)
-    assert conjecture._sweep_rows(profile, 0, rows, method, stride, prefix) == want
+    want = sweep_rows_per_pair(profile, 0, rows, prefix, method, stride)
+    assert conjecture._sweep_rows(profile, 0, rows, prefix) == want
     chunked = [v for lo, hi in conjecture._row_chunks(rows, 3)
-               for v in conjecture._sweep_rows(profile, lo, hi, method, stride, prefix)]
+               for v in conjecture._sweep_rows(profile, lo, hi, prefix)]
     assert chunked == want
     return want
 
@@ -172,15 +174,22 @@ def _sweeps_agree(p, rows, method, stride):
 def test_sweep_rows_matches_per_pair_loop_with_counterexamples(p):
     # Primes with z < p, which verify_conjecture refuses: the disagreements
     # must match pair for pair.
-    assert _sweeps_agree(p, 300, "carry", 37)
+    assert _sweeps_agree(p, 300)
 
 
 @pytest.mark.parametrize("method, stride", [("carry", 0), ("carry", 1), ("carry", 37),
                                             ("oracle", 0)])
 @pytest.mark.parametrize("p, rows", [(3, 120), (5, 120), (7, 120), (23, 120), (163, 200)])
 def test_sweep_rows_matches_per_pair_loop(p, rows, method, stride):
-    # The oracle method reads no stride.
+    # The reference's oracle method reads no stride.
     assert _sweeps_agree(p, rows, method, stride) == []
+
+
+def test_sweep_rows_matches_per_pair_loop_at_2():
+    # carry_valuation's exponent is wrong at p = 2, so the reference takes
+    # its left-hand side from the oracle; the sweep's carry test must match
+    # it pair for pair.
+    assert _sweeps_agree(2, 120) == []
 
 
 @pytest.mark.parametrize("method", ["carry", "oracle"])
@@ -200,15 +209,11 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
     assert max(sizes) == 30
 
 
-def test_oracle_stride_catches_wrong_carry_valuation(monkeypatch):
-    # (8, 1) is pair number 37 in row-major order, so stride 37 checks it.
-    def off_by_one(m, n, profile):
-        e = carry_valuation(m, n, profile).exponent
-        return Valuation(e + ((m, n) == (1, 7)), "carry")
-
-    monkeypatch.setattr(conjecture, "carry_valuation", off_by_one)
-    with pytest.raises(ArithmeticError, match=r"\(n=8, k=1, p=7\)"):
-        verify_conjecture(entry_point(7), 40, oracle_stride=37)
+def test_oracle_stride_catches_wrong_carry_valuation(corrupt_oracle):
+    # Every pair is checked against the oracle: (8, 0), pair number 36 in
+    # row-major order, is one that a check of every 37th pair skipped.
+    with pytest.raises(ArithmeticError, match=r"disagrees with oracle .* \(n=8, k=0, p=7\)"):
+        verify_conjecture(entry_point(7), 40)
 
 
 def test_oracle_stride_catches_wrong_carry_test(monkeypatch):
@@ -218,10 +223,8 @@ def test_oracle_stride_catches_wrong_carry_test(monkeypatch):
         return (0, 1) if n == 9 else expand_base_fp(n, profile)
 
     monkeypatch.setattr(conjecture, "expand_base_fp", wrong_digits)
-    with pytest.raises(ArithmeticError, match=r"\(n=9, k=1, p=7\)"):
-        verify_conjecture(entry_point(7), 40, oracle_stride=1)
-    # Unchecked, the same fault reads as counterexamples.
-    assert verify_conjecture(entry_point(7), 40, oracle_stride=0).counterexamples
+    with pytest.raises(ArithmeticError, match=r"disagrees with oracle .* \(n=9, k=1, p=7\)"):
+        verify_conjecture(entry_point(7), 40)
 
 
 @pytest.mark.parametrize("p, witness", [
@@ -360,14 +363,36 @@ def test_max_entry_point_primes():
     assert hit == [2, 3, 7, 23, 43, 67, 83, 103]
 
 
+def test_entry_point_at_least_p_leaves_digit_factors_prime_to_p():
+    # Why sweeps with z >= p find nothing. z divides p - (5/p) (Lucas;
+    # Wall), so z is p or p + 1, F_1 .. F_{z-1} are prime to p, and so is
+    # every digit factor C(a, b)_F with b <= a < z. The sweep's digit-factor
+    # table is then exactly "b > a": the digit product is divisible when a
+    # digit of k exceeds that of n, which is when adding k to n - k carries,
+    # which by Knuth and Wilf (1989) is when p divides the coefficient.
+    ft = fibotorial_seq(120)
+    fibs = fib_seq(121)
+    swept = []
+    for p in filter(is_prime, range(120)):
+        z = next(i for i, f in enumerate(fibs, 1) if f % p == 0)
+        if z < p:
+            continue
+        swept.append(p)
+        assert z in (p, p + 1)
+        for a in range(z):
+            for b in range(a + 1):
+                assert naive_fibonomial(a, b, ft) % p != 0, (p, a, b)
+    assert swept == [2, 3, 5, 7, 23, 43, 67, 83, 103]
+
+
 def test_sweep_record_jsonl_schema():
     verdicts = (
         ConjectureVerdict.compare(11, 100, 10, False, True),
         ConjectureVerdict.compare(11, 100, 20, True, True),
     )
-    record = SweepRecord(11, 120, "oracle", verdicts, 1.25)
+    record = SweepRecord(11, 120, verdicts, 1.25)
     lines = record.jsonl_lines()
-    assert json.loads(lines[0]) == {"p": 11, "rows": 120, "method": "oracle"}
+    assert json.loads(lines[0]) == {"p": 11, "rows": 120, "method": "carry"}
     assert json.loads(lines[1]) == {"p": 11, "n": 100, "k": 10,
                                     "lhs": False, "rhs": True, "agree": False}
     assert json.loads(lines[2]) == {"p": 11, "n": 100, "k": 20,
