@@ -41,6 +41,17 @@ def _emit(args: argparse.Namespace, value, payload: dict) -> None:
         print(value)
 
 
+def _emit_exact(args: argparse.Namespace, value: int, payload: dict) -> None:
+    # An exact answer that passed the --cap check prints at any length; the
+    # int-to-str digit limit is lifted for the print only.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _emit(args, value, payload)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _check_cap(n: int, cap: int, what: str) -> None:
     if n > cap:
         raise ValueError(
@@ -54,7 +65,7 @@ def _cmd_fib(args: argparse.Namespace) -> int:
     else:
         _check_cap(args.n, args.cap, "exact Fibonacci number")
         value = fib(args.n)
-    _emit(args, value, {"n": args.n, "mod": args.mod, "value": value})
+    _emit_exact(args, value, {"n": args.n, "mod": args.mod, "value": value})
     return EXIT_OK
 
 
@@ -67,13 +78,14 @@ def _cmd_fibonomial(args: argparse.Namespace) -> int:
             raise ValueError(f"modulus must be >= 2, got {args.mod}")
         if args.k > args.n:
             value = 0
-        else:
-            value = fibonomial_row_mod(args.n, args.mod).entries[args.k]
+        else:  # C(n, k)_F = C(n, n-k)_F, so only columns <= min(k, n-k)
+            j = min(args.k, args.n - args.k)
+            value = fibonomial_row_mod(args.n, args.mod, width=j).entries[j]
     else:
         _check_cap(args.n, args.cap, "exact fibonomial coefficient")
         value = fibonomial(args.n, args.k)
-    _emit(args, value,
-          {"n": args.n, "k": args.k, "mod": args.mod, "value": value})
+    _emit_exact(args, value,
+                {"n": args.n, "k": args.k, "mod": args.mod, "value": value})
     return EXIT_OK
 
 

@@ -88,7 +88,8 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _weighted_rows(count: int, m: int | None, fibonacci: bool) -> Iterator[TriangleRow]:
+def _weighted_rows(count: int, m: int | None, fibonacci: bool,
+                   width: int | None = None) -> Iterator[TriangleRow]:
     """Yield rows 0 .. count-1 of the weighted Pascal recurrence
 
         C(n, k) = w_{k+1} C(n-1, k) + w_{n-k-1} C(n-1, k-1),  0 < k < n,
@@ -96,17 +97,23 @@ def _weighted_rows(count: int, m: int | None, fibonacci: bool) -> Iterator[Trian
     with the row edges pinned to 1, reduced mod m unless m is None. The
     Fibonacci weights w_i = F_i give the fibonomial triangle (F_0 = 0 drops
     the second term at k = n-1); the weights w_i = 1 give Pascal's triangle.
+    Given a width, only columns 0 .. width are computed: a row longer than
+    that stops there, without its right edge.
     """
     if count < 0:
         raise ValueError(f"row count must be >= 0, got {count}")
     if m is not None and m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
+    if width is not None and width < 0:
+        raise ValueError(f"width must be >= 0, got {width}")
     if fibonacci:
         w = [0, 1]
         while len(w) < count:
             w.append(w[-1] + w[-2] if m is None else (w[-1] + w[-2]) % m)
     else:
         w = [1] * count
+    if width is None:
+        width = count
     row: list[int] = []
     for n in range(count):
         terms = zip(w[2:n + 1], row[1:], w[n - 2::-1], row[:-1])
@@ -114,13 +121,15 @@ def _weighted_rows(count: int, m: int | None, fibonacci: bool) -> Iterator[Trian
             inner = [a * x + b * y for a, x, b, y in terms]
         else:
             inner = [(a * x + b * y) % m for a, x, b, y in terms]
-        row = [1, *inner, 1] if n else [1]
+        row = [1, *inner, 1] if 0 < n <= width else [1, *inner]
         yield TriangleRow(n, tuple(row), m)
 
 
-def iter_fibonomial_rows_mod(count: int, m: int) -> Iterator[TriangleRow]:
-    """Yield fibonomial triangle rows 0 .. count-1 reduced mod m."""
-    return _weighted_rows(count, m, fibonacci=True)
+def iter_fibonomial_rows_mod(count: int, m: int,
+                             width: int | None = None) -> Iterator[TriangleRow]:
+    """Yield fibonomial triangle rows 0 .. count-1 reduced mod m, each cut
+    after column `width` when one is given."""
+    return _weighted_rows(count, m, fibonacci=True, width=width)
 
 
 def iter_fibonomial_rows_exact(count: int) -> Iterator[TriangleRow]:
@@ -138,12 +147,16 @@ def iter_binomial_rows_exact(count: int) -> Iterator[TriangleRow]:
     return _weighted_rows(count, None, fibonacci=False)
 
 
-def fibonomial_row_mod(n: int, m: int) -> TriangleRow:
-    """Row n of the fibonomial triangle mod m, never touching big integers."""
+def fibonomial_row_mod(n: int, m: int, width: int | None = None) -> TriangleRow:
+    """Row n of the fibonomial triangle mod m, never touching big integers.
+
+    Given a width, only columns 0 .. width of rows 0 .. n are computed, so
+    the cost is O(n * width) cells instead of O(n * n).
+    """
     if n < 0:
         raise ValueError(f"row index must be >= 0, got {n}")
     row = None
-    for row in iter_fibonomial_rows_mod(n + 1, m):
+    for row in iter_fibonomial_rows_mod(n + 1, m, width):
         pass
     assert row is not None
     return row

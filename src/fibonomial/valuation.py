@@ -13,9 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
-from .core import fib
+from .core import fib_mod
 from .radix import add_with_carries
 
 
@@ -56,33 +55,80 @@ class Valuation:
     method: str  # "carry" | "oracle"
 
 
+# Miller-Rabin on the primes 2..41 as bases is exact below this bound
+# (Sorenson & Webster 2016); is_prime refuses anything at or above it.
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# entry_point trial-divides p - (5/p); at this bound that takes under a second.
+ENTRY_POINT_LIMIT = 10 ** 13
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Deterministic Miller-Rabin primality test for n below PRIME_TEST_LIMIT."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(
+            f"primality is decided only below {PRIME_TEST_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @lru_cache(maxsize=None)
 def entry_point(p: int) -> PrimeProfile:
-    """Profile a prime: least z with p | F_z, nu_p(F_z), and the relation class."""
+    """Profile a prime: least z with p | F_z, nu_p(F_z), and the relation class.
+
+    z divides m = p - (5/p) (Lucas 1878; Wall 1960), m = p - 1 for
+    p = +-1 (mod 5) and p + 1 for p = +-2 (mod 5); so z is m with each
+    prime factor divided out as often as F stays 0 mod p. The cost is
+    the trial division of m, so p is refused above ENTRY_POINT_LIMIT.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    a, b = 1 % p, 1 % p
-    z = 1
-    while a != 0:
-        a, b = b, (a + b) % p
-        z += 1
-        if z > p + 1:
-            raise ArithmeticError(f"no entry point found for {p} below {p + 2}")
-    nu = nu_p_int(fib(z), p).exponent
+    if p > ENTRY_POINT_LIMIT:
+        raise ValueError(
+            f"entry points are computed for primes up to {ENTRY_POINT_LIMIT}, got {p}")
+    if p == 5:
+        z = 5
+    else:  # p = 2 gets m = 3, which is its z
+        z = p - 1 if p % 5 in (1, 4) else p + 1
+        for q in _prime_factors(z):
+            while z % q == 0 and fib_mod(z // q, p) == 0:
+                z //= q
+    nu = 1
+    while fib_mod(z, p ** (nu + 1)) == 0:
+        nu += 1
     if z < p:
         rel = Relation.LESS
     elif z == p:

@@ -25,6 +25,71 @@ def fibotorial_seq(count):
     return ft
 
 
+def fib_mod_matrix(n, m):
+    """F_n mod m, for n >= 0, from the n-th power of [[1, 1], [1, 0]]."""
+    def mul(x, y):
+        return [[(x[0][0] * y[0][0] + x[0][1] * y[1][0]) % m,
+                 (x[0][0] * y[0][1] + x[0][1] * y[1][1]) % m],
+                [(x[1][0] * y[0][0] + x[1][1] * y[1][0]) % m,
+                 (x[1][0] * y[0][1] + x[1][1] * y[1][1]) % m]]
+    out, base = [[1, 0], [0, 1]], [[1, 1], [1, 0]]
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        n >>= 1
+    return out[0][1]
+
+
+def entry_point_walk(p):
+    """Least z >= 1 with p | F_z, by walking the sequence mod p: O(z) steps."""
+    a, b, z = 1 % p, 1 % p, 1
+    while a:
+        a, b, z = b, (a + b) % p, z + 1
+    return z
+
+
+def prime_factors(n):
+    """Distinct prime factors of n >= 1 by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def primes_below(n):
+    """Sieve of Eratosthenes: the set of primes below n >= 2."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for i in range(2, int(n ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    return {i for i in range(n) if sieve[i]}
+
+
+def fibonomial_short(n, k):
+    """The exact coefficient from its min(k, n-k) top and bottom factors:
+    F_n ... F_{n-j+1} / (F_j ... F_1)."""
+    if k > n:
+        return 0
+    j = min(k, n - k)
+    fs = fib_seq(n)
+    top, bottom = 1, 1
+    for i in range(j):
+        top *= fs[n - 1 - i]
+        bottom *= fs[i]
+    q, r = divmod(top, bottom)
+    assert r == 0
+    return q
+
+
 def naive_fibonomial(n, k, ft=None):
     if k > n:
         return 0

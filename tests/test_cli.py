@@ -1,13 +1,28 @@
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fibonomial.cli import main
 from fibonomial.core import fibonomial
 from fibonomial.render import RenderSpec, render
-from fibonomial.valuation import carry_valuation, entry_point
+from fibonomial.valuation import (
+    ENTRY_POINT_LIMIT,
+    PRIME_TEST_LIMIT,
+    carry_valuation,
+    entry_point,
+    is_prime,
+)
+
+from oracles import fib_seq, fibonomial_short, naive_fibonomial
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(inspect.getfile(main))))
 
 
 def run(capsys, *argv):
@@ -55,6 +70,64 @@ def test_exact_cap_is_enforced_and_adjustable(capsys):
     assert code == 0
     code, out, _ = run(capsys, "fib", "1200", "--cap", "2000")
     assert code == 0
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_fibonomial_mod_band_matches_exact(data):
+    # The band answer against the exact coefficient from its min(k, n-k)
+    # Fibonacci factors, on both sides of the row.
+    n = data.draw(st.integers(0, 3000))
+    j = data.draw(st.integers(0, min(n // 2, 60)))
+    k = data.draw(st.sampled_from([j, n - j]))
+    m = data.draw(st.sampled_from([2, 4, 6, 7, 12, 64, 1000003]) | st.integers(2, 10 ** 9))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["fibonomial", str(n), str(k), "--mod", str(m)])
+    assert code == 0
+    assert int(out.getvalue()) == fibonomial_short(n, k) % m
+
+
+def test_exact_scalars_print_past_the_str_limit(capsys):
+    # Both answers have more digits than Python's default int-to-str limit;
+    # the CLI lifts it for the print and hands the caller's limit back.
+    fib_30000 = fib_seq(30000)[-1]
+    fibonomial_1000_500 = naive_fibonomial(1000, 500)
+    before = sys.get_int_max_str_digits()
+    outs = {}
+    for argv in (["fib", "30000", "--cap", "100000"], ["fibonomial", "1000", "500"]):
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *flags)
+            assert code == 0, err
+            assert sys.get_int_max_str_digits() == before
+            outs[argv[0], bool(flags)] = out
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(outs["fib", False]) == fib_30000
+        assert json.loads(outs["fib", True])["value"] == fib_30000
+        assert int(outs["fibonomial", False]) == fibonomial_1000_500
+        assert json.loads(outs["fibonomial", True])["value"] == fibonomial_1000_500
+        assert min(len(str(fib_30000)), len(str(fibonomial_1000_500))) > 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_out_of_range_primes_are_refused(capsys):
+    p = next(n for n in range(ENTRY_POINT_LIMIT + 1, ENTRY_POINT_LIMIT + 1000) if is_prime(n))
+    code, out, err = run(capsys, "entry-point", str(p))
+    assert code == 2 and out == "" and str(ENTRY_POINT_LIMIT) in err
+    for argv in (["entry-point", str(PRIME_TEST_LIMIT)],
+                 ["expand", "5", "--base", "p", "--prime", str(PRIME_TEST_LIMIT + 2)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and str(PRIME_TEST_LIMIT) in err, argv
+
+
+def test_big_entry_point_answers_in_a_fresh_process():
+    done = subprocess.run(
+        [sys.executable, "-m", "fibonomial", "entry-point", "999999999989"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert "p_star=499999999994" in done.stdout
 
 
 def test_entry_point_query(capsys):
@@ -227,8 +300,7 @@ def test_verify_usage_errors(tmp_path, capsys):
 def test_cli_import_leaves_process_pool_unloaded():
     # Only a pooled sweep needs concurrent.futures.process; importing it
     # with the CLI would add its start-up cost to every command.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(inspect.getfile(main))))
     code = "import sys, fibonomial.cli; print('concurrent.futures.process' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
     assert done.stdout.strip() == "False"

@@ -169,6 +169,22 @@ def test_fibonomial_row_mod_domain_errors():
         fibonomial_row_mod(-1, 5)
     with pytest.raises(ValueError):
         fibonomial_row_mod(3, 1)
+    with pytest.raises(ValueError):
+        fibonomial_row_mod(3, 5, width=-1)
+
+
+def test_fibonomial_band_matches_full_rows_dense():
+    # The entry at (n, k) is read at column j = min(k, n-k) of a band of
+    # width j; every (n, k) with k <= n < 150 has its j below 75.
+    for m in (2, 4, 6, 7, 12, 64, 1000003):
+        full = [row.entries for row in iter_fibonomial_rows_mod(150, m)]
+        for j in range(75):
+            for row in iter_fibonomial_rows_mod(150, m, width=j):
+                n = row.n
+                assert row.entries == full[n][:j + 1], (m, j, n)
+                if n >= 2 * j:
+                    assert row.entries[j] == full[n][n - j], (m, j, n)
+        assert fibonomial_row_mod(149, m, width=30).entries == full[149][:31]
 
 
 def test_exact_row_iterator_matches_fibonomial():

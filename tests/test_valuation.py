@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+import fibonomial.valuation as valuation
 from fibonomial.core import fib, fib_mod
 from fibonomial.valuation import (
+    ENTRY_POINT_LIMIT,
+    PRIME_TEST_LIMIT,
     PrimeProfile,
     Relation,
     carry_valuation,
@@ -14,15 +17,24 @@ from fibonomial.valuation import (
     nu_p_int,
 )
 
-from oracles import fib_seq, fibotorial_seq, kummer_carries, naive_fibonomial, nu
+from oracles import (
+    entry_point_walk,
+    fib_mod_matrix,
+    fib_seq,
+    fibotorial_seq,
+    kummer_carries,
+    naive_fibonomial,
+    nu,
+    prime_factors,
+    primes_below,
+)
 
 ODD_PRIMES = (3, 5, 7, 11, 13)
 
 
 def test_is_prime_small():
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    for n in range(50):
-        assert is_prime(n) == (n in primes)
+    primes = primes_below(10 ** 5)
+    assert [n for n in range(10 ** 5) if is_prime(n) != (n in primes)] == []
     assert is_prime(1000003)
     assert not is_prime(1000001)  # 101 * 9901
 
@@ -40,6 +52,61 @@ def test_is_prime_small():
 def test_entry_point_examples(p, p_star, nu_entry, relation):
     profile = entry_point(p)
     assert profile == PrimeProfile(p, p_star, nu_entry, relation)
+
+
+@pytest.mark.parametrize("n", [
+    561,  # Carmichael number
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # strong pseudoprime to the bases 2 through 23
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2 ** 31 - 1, 999999999989, 2 ** 61 - 1])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+
+
+def test_is_prime_refuses_past_its_exact_range(monkeypatch):
+    # The limit is the least composite that is a strong pseudoprime to
+    # every base 2 ... 41; the test answers below it and refuses from it on.
+    assert not is_prime(PRIME_TEST_LIMIT - 1)
+    with pytest.raises(ValueError, match=str(PRIME_TEST_LIMIT)):
+        is_prime(PRIME_TEST_LIMIT)
+    assert PRIME_TEST_LIMIT == 1287836182261 * 2575672364521
+    monkeypatch.setattr(valuation, "PRIME_TEST_LIMIT", PRIME_TEST_LIMIT + 1)
+    assert is_prime(PRIME_TEST_LIMIT)  # the wrong answer the refusal avoids
+
+
+def test_entry_point_refuses_primes_past_its_bound():
+    p = next(n for n in range(ENTRY_POINT_LIMIT + 1, ENTRY_POINT_LIMIT + 1000) if is_prime(n))
+    with pytest.raises(ValueError, match=str(ENTRY_POINT_LIMIT)):
+        entry_point(p)
+
+
+def test_entry_point_matches_walk_dense():
+    # The exact F_z give the reference nu_p(F_z); F_z has about 4,200
+    # digits at z = 20,000.
+    fs = fib_seq(20_002)
+    for p in sorted(primes_below(20_000)):
+        z = entry_point_walk(p)
+        assert entry_point(p) == PrimeProfile(
+            p, z, nu(fs[z - 1], p),
+            Relation.LESS if z < p else Relation.EQUAL if z == p else Relation.GREATER), p
+
+
+@pytest.mark.parametrize("p", [1000000007, 4294967291, 99999999977, 999999999989])
+def test_entry_point_certificate_for_large_primes(p):
+    # F_z = 0 and F_{z/q} != 0 mod p for each prime q | z make z the
+    # least zero; F_z mod p^nu = 0 and mod p^(nu+1) != 0 pin the exponent.
+    profile = entry_point(p)
+    z, e = profile.p_star, profile.nu_p_F_pstar
+    assert fib_mod_matrix(z, p) == 0
+    for q in prime_factors(z):
+        assert fib_mod_matrix(z // q, p) != 0, q
+    assert fib_mod_matrix(z, p ** e) == 0
+    assert fib_mod_matrix(z, p ** (e + 1)) != 0
 
 
 def test_entry_point_rejects_composites():
