@@ -69,10 +69,14 @@ def _cmd_fib(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_fibonomial(args: argparse.Namespace) -> int:
+def _check_nk(args: argparse.Namespace) -> None:
     if args.n < 0 or args.k < 0:
         raise ValueError(
             f"fibonomial arguments must be >= 0, got ({args.n}, {args.k})")
+
+
+def _cmd_fibonomial(args: argparse.Namespace) -> int:
+    _check_nk(args)
     if args.mod is not None:
         if args.mod < 2:  # checked here too, as k > n computes no row
             raise ValueError(f"modulus must be >= 2, got {args.mod}")
@@ -98,6 +102,7 @@ def _cmd_entry_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_valuation(args: argparse.Namespace) -> int:
+    _check_nk(args)
     if args.k > args.n:
         raise ValueError(
             f"coefficient at (n={args.n}, k={args.k}) is zero and has no valuation")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat, zip_longest
 from math import isqrt
-from operator import getitem
 from typing import IO
 
 from .core import binomial, fibonomial, iter_fibonomial_rows_mod
@@ -167,22 +166,25 @@ def _sweep_rows(
     """The disagreements among the pairs of rows [lo, hi), in (n, k) order.
 
     The entry-point digits of 0 .. hi-1, their digit sums and the
-    divisibility bit of every digit-pair factor are computed once per call,
-    so a pair costs a few table lookups. Adding k to n - k in the
-    entry-point base lowers the digit sum by z - 1 for a carry out of the
-    units place and by p - 1 for any other carry, so the sums differ
-    exactly when the addition carries, which is when p divides the
-    coefficient (Knuth and Wilf), p = 2 included. The oracle prefix table
-    rechecks that carry test at every pair, a whole row at a time.
+    divisibility bit of every digit-pair factor are computed once per call.
+    Adding k to n - k in the entry-point base lowers the digit sum by z - 1
+    for a carry out of the units place and by p - 1 for any other carry, so
+    the sums differ exactly when the addition carries, which is when p
+    divides the coefficient (Knuth and Wilf), p = 2 included. The oracle
+    prefix table rechecks that carry test at every pair, a whole row at a
+    time. The digit product's row is built from the digits of n by place
+    value: the units digit's table row, then per higher digit a of n one
+    copy of the block so far for each digit b of k, all ones where
+    C(a, b)_F is divisible. A row costs O(z + p * digits) Python steps.
     """
-    p = profile.p
+    p, z = profile.p, profile.p_star
     digits = [expand_base_fp(n, profile) for n in range(hi)]
     sums = [sum(d) for d in digits]
     # table[a][b]: whether p divides the digit factor C(a, b)_F; b > a gives
     # the zero coefficient, which p divides. Every digit of n < hi is below
     # both max(z, p) and hi, so a short sweep on a large prime stays small.
-    size = min(max(profile.p_star, p), hi)
-    table = [[e == 0 for e in row.entries] + [True] * (size - 1 - row.n)
+    size = min(max(z, p), hi)
+    table = [bytes([e == 0 for e in row.entries]) + b"\1" * (size - 1 - row.n)
              for row in iter_fibonomial_rows_mod(size, p)]
     bad = []
     for n in range(lo, hi):
@@ -196,13 +198,18 @@ def _sweep_rows(
             raise ArithmeticError(
                 f"carry test {lhs[k]} disagrees with oracle exponent "
                 f"{top - terms[k] - terms[n - k]} at (n={n}, k={k}, p={p})")
-        # map stops at the last digit of k <= n; the digits of k it skips
-        # are 0, and the factor C(a, 0)_F = 1 is never divisible.
-        factors = [table[a] for a in digits[n]]
-        rhs = [any(map(getitem, factors, d)) for d in digits[:n + 1]]
-        if lhs != rhs:
-            bad.extend(ConjectureVerdict.compare(p, n, k, left, right)
-                       for k, (left, right) in enumerate(zip(lhs, rhs))
+        # b takes p values below the top digit and a + 1 at the top, where
+        # the copies need only reach k = n.
+        units, *high = digits[n] or (0,)
+        block = table[units][:z]
+        for a in high:
+            ones = b"\1" * len(block)
+            block = b"".join([ones if f else block
+                              for f in table[a][:min(p, n // len(block) + 1)]])
+        rhs = block[:n + 1]
+        if bytes(lhs) != rhs:
+            bad.extend(ConjectureVerdict.compare(p, n, k, left, right == 1)
+                       for k, (left, right) in enumerate(zip(lhs, rhs, strict=True))
                        if left != right)
     return bad
 

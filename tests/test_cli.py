@@ -162,6 +162,12 @@ def test_valuation_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "valuation", "10", "4", "--prime", "10")
     assert code == 2
+    # Negative arguments are refused as typed, before k > n or the carry
+    # operands k and n - k are formed from them.
+    code, _, err = run(capsys, "valuation", "5", "-1", "--prime", "7")
+    assert code == 2 and "must be >= 0, got (5, -1)" in err
+    code, _, err = run(capsys, "valuation", "-3", "-5", "--prime", "7")
+    assert code == 2 and "must be >= 0, got (-3, -5)" in err
 
 
 def test_valuation_json_round_trip(capsys):

@@ -5,6 +5,8 @@ import math
 from itertools import accumulate, zip_longest
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibonomial.conjecture as conjecture
 from fibonomial.conjecture import (
@@ -190,6 +192,46 @@ def test_sweep_rows_matches_per_pair_loop_at_2():
     # its left-hand side from the oracle; the sweep's carry test must match
     # it pair for pair.
     assert _sweeps_agree(2, 120) == []
+
+
+def _spans_at_place_values(p):
+    # Spans around each place value P = z * p**j, j = 0, 1, 2, up to 30,000:
+    # the last row just below, at and just above P, whole from row 0 where
+    # that is cheap, and from rows inside the digit block below P.
+    z = entry_point(p).p_star
+    for place in (z, z * p, z * p * p):
+        if place <= 30_000:
+            for hi in (place, place + 1, place + 2):
+                yield (0 if hi <= 200 else hi - 3), hi
+            if place <= 200:
+                yield place // 2 + 1, place + 1
+
+
+SWEEP_PRIMES = [2, 3, 5, 7, 11, 13, 23, 163]
+
+
+@pytest.mark.parametrize("p, lo, hi", [
+    *((p, lo, hi) for p in SWEEP_PRIMES for lo, hi in _spans_at_place_values(p)),
+    *((p, lo, hi) for p in SWEEP_PRIMES for lo, hi in [(0, 1), (1, 2), (0, 2)]),
+    (10007, 0, 30), (10007, 17, 30),
+])
+def test_sweep_rows_matches_per_pair_loop_at_place_values(p, lo, hi):
+    # The row's digit-product bits are joined digit by digit, so the digit
+    # boundaries, rows 0 and 1 and a table capped by hi are where a wrong
+    # block length, copy count or cut would show.
+    profile = entry_point(p)
+    prefix = conjecture.fibotorial_valuations(hi - 1, p)
+    assert (conjecture._sweep_rows(profile, lo, hi, prefix)
+            == sweep_rows_per_pair(profile, lo, hi, prefix))
+
+
+@given(st.sampled_from(SWEEP_PRIMES), st.integers(0, 700), st.integers(1, 12))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_sweep_rows_matches_per_pair_loop_sampled(p, lo, rows):
+    profile = entry_point(p)
+    prefix = conjecture.fibotorial_valuations(lo + rows - 1, p)
+    assert (conjecture._sweep_rows(profile, lo, lo + rows, prefix)
+            == sweep_rows_per_pair(profile, lo, lo + rows, prefix))
 
 
 @pytest.mark.parametrize("method", ["carry", "oracle"])
