@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat, zip_longest
 from math import isqrt
-from typing import IO
+from operator import lt, ne
+from typing import IO, Callable, Iterator, Sequence
 
 from .core import binomial, fibonomial, iter_fibonomial_rows_mod
 from .radix import expand_base_fp, expand_base_p
@@ -157,6 +158,28 @@ def _row_chunks(rows: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(ends, ends[1:]) if lo < hi]
 
 
+def _pair_bits(x: Sequence[int], lo: int, hi: int,
+               test: Callable[[int, int], bool]) -> Iterator[bytes]:
+    """Per row n in [lo, hi), the n + 1 bytes test(x[k] + x[n - k], x[n])
+    for test lt or ne. x[:hi] is packed once into w-byte fields, forwards and
+    reversed, so the forward int's low n + 1 fields plus the reversed one
+    shifted down hi - 1 - n fields hold every pair sum. Bit b of a field lies
+    above twice the largest value: (2**b + t - 1) - sum keeps it where sum < t,
+    (sum ^ t) + 2**b - 1 where sum != t, and no field borrows or carries."""
+    b = (2 * max(x[:hi])).bit_length()
+    w, guard = b // 8 + 1, 1 << b
+    chunks = [v.to_bytes(w, "little") for v in x[:hi]]
+    fwd, rev = (int.from_bytes(b"".join(c), "little") for c in (chunks, chunks[::-1]))
+    all_ones = int.from_bytes((1).to_bytes(w, "little") * hi, "little")
+    for n in range(lo, hi):
+        size, shift = w * (n + 1), 8 * w * (hi - 1 - n)
+        ones = all_ones >> shift
+        pair = (fwd & ((1 << 8 * size) - 1)) + (rev >> shift)
+        held = ((guard + x[n] - 1) * ones - pair if test is lt
+                else (pair ^ x[n] * ones) + (guard - 1) * ones)
+        yield (held >> b & ones).to_bytes(size, "little")[::w]
+
+
 def _sweep_rows(
     profile: PrimeProfile,
     lo: int,
@@ -171,11 +194,12 @@ def _sweep_rows(
     for a carry out of the units place and by p - 1 for any other carry, so
     the sums differ exactly when the addition carries, which is when p
     divides the coefficient (Knuth and Wilf), p = 2 included. The oracle
-    prefix table rechecks that carry test at every pair, a whole row at a
-    time. The digit product's row is built from the digits of n by place
-    value: the units digit's table row, then per higher digit a of n one
-    copy of the block so far for each digit b of k, all ones where
-    C(a, b)_F is divisible. A row costs O(z + p * digits) Python steps.
+    prefix table rechecks that carry test at every pair; both sides of a
+    row come from _pair_bits. The digit product's row is built from the
+    digits of n by place value: the units digit's table row, then per
+    higher digit a of n one copy of the block so far for each digit b of k,
+    all ones where C(a, b)_F is divisible. A row costs O(z + p * digits)
+    Python steps plus O(n) machine-word operations.
     """
     p, z = profile.p, profile.p_star
     digits = [expand_base_fp(n, profile) for n in range(hi)]
@@ -187,17 +211,13 @@ def _sweep_rows(
     table = [bytes([e == 0 for e in row.entries]) + b"\1" * (size - 1 - row.n)
              for row in iter_fibonomial_rows_mod(size, p)]
     bad = []
-    for n in range(lo, hi):
-        head, total = sums[:n + 1], sums[n]
-        lhs = [a + b != total for a, b in zip(head, reversed(head))]
-        # The oracle exponent at (n, k) is top - terms[k] - terms[n - k].
-        terms, top = prefix[:n + 1], prefix[n]
-        if lhs != [a + b < top for a, b in zip(terms, reversed(terms))]:
-            k = next(k for k, left in enumerate(lhs)
-                     if left != (terms[k] + terms[n - k] < top))
+    for n, lhs, oracle in zip(range(lo, hi), _pair_bits(sums, lo, hi, ne),
+                              _pair_bits(prefix, lo, hi, lt)):
+        if lhs != oracle:
+            k = next(k for k in range(n + 1) if lhs[k] != oracle[k])
             raise ArithmeticError(
-                f"carry test {lhs[k]} disagrees with oracle exponent "
-                f"{top - terms[k] - terms[n - k]} at (n={n}, k={k}, p={p})")
+                f"carry test {lhs[k] == 1} disagrees with oracle exponent "
+                f"{prefix[n] - prefix[k] - prefix[n - k]} at (n={n}, k={k}, p={p})")
         # b takes p values below the top digit and a + 1 at the top, where
         # the copies need only reach k = n.
         units, *high = digits[n] or (0,)
@@ -207,8 +227,8 @@ def _sweep_rows(
             block = b"".join([ones if f else block
                               for f in table[a][:min(p, n // len(block) + 1)]])
         rhs = block[:n + 1]
-        if bytes(lhs) != rhs:
-            bad.extend(ConjectureVerdict.compare(p, n, k, left, right == 1)
+        if lhs != rhs:
+            bad.extend(ConjectureVerdict.compare(p, n, k, left == 1, right == 1)
                        for k, (left, right) in enumerate(zip(lhs, rhs, strict=True))
                        if left != right)
     return bad

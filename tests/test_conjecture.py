@@ -3,9 +3,10 @@ import io
 import json
 import math
 from itertools import accumulate, zip_longest
+from operator import lt, ne
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fibonomial.conjecture as conjecture
@@ -234,6 +235,38 @@ def test_sweep_rows_matches_per_pair_loop_sampled(p, lo, rows):
             == sweep_rows_per_pair(profile, lo, lo + rows, prefix))
 
 
+@st.composite
+def _pair_bit_rows(draw):
+    # Values whose largest, top, sits just below or at a field-width
+    # boundary: 2 * top needs 8j bits from top = 2**(8j - 2) on, and then
+    # the guard bit above it a field one byte wider. Values past hi must
+    # be ignored, so some of them are larger still.
+    j = draw(st.integers(1, 3))
+    top = 2 ** (8 * j - 2) - draw(st.integers(0, 1))
+    hi = draw(st.integers(1, 40))
+    near = st.sampled_from([0, 1, top // 2, top - 1, top])
+    x = draw(st.lists(st.one_of(st.integers(0, top), near), min_size=hi, max_size=hi))
+    x[draw(st.integers(0, hi - 1))] = top
+    x += draw(st.lists(st.integers(0, 4 * top), max_size=3))
+    return x, draw(st.integers(0, hi - 1)), hi
+
+
+@given(_pair_bit_rows(), st.sampled_from([lt, ne]))
+@example(([0, 0, 0], 0, 3), ne)
+@example(([0, 0, 0], 1, 3), lt)
+@example(([5, 63, 63], 2, 3), lt)
+@example(([5, 64, 64], 2, 3), ne)
+@example(([16383, 16384, 1, 16384], 1, 3), lt)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_pair_bits_match_per_pair_comparisons(case, test):
+    # The sweep's whole-row carry and oracle tests against one comparison
+    # per pair, on spans from lo > 0 and rows of length 1 included.
+    x, lo, hi = case
+    want = [bytes(test(x[k] + x[n - k], x[n]) for k in range(n + 1))
+            for n in range(lo, hi)]
+    assert list(conjecture._pair_bits(x, lo, hi, test)) == want
+
+
 @pytest.mark.parametrize("method", ["carry", "oracle"])
 def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatch):
     # z = 10008 > p = 10007: a table sized by the prime would take ~10^8
@@ -267,6 +300,18 @@ def test_oracle_stride_catches_wrong_carry_test(monkeypatch):
     monkeypatch.setattr(conjecture, "expand_base_fp", wrong_digits)
     with pytest.raises(ArithmeticError, match=r"disagrees with oracle .* \(n=9, k=1, p=7\)"):
         verify_conjecture(entry_point(7), 40)
+
+
+def test_oracle_mismatch_at_interior_k_names_pair_and_exponent():
+    # Lower the oracle's nu_7(F_1 ... F_10) by one and sweep from row 21:
+    # 10 + 11 carries nowhere in the entry-point base (8, 7, ...), yet the
+    # oracle then reads exponent 1 at k = 10, the first k of row 21 whose
+    # terms it changes.
+    prefix = list(conjecture.fibotorial_valuations(39, 7))
+    prefix[10] -= 1
+    with pytest.raises(ArithmeticError, match=r"^carry test False disagrees with oracle "
+                                              r"exponent 1 at \(n=21, k=10, p=7\)$"):
+        conjecture._sweep_rows(entry_point(7), 21, 40, tuple(prefix))
 
 
 @pytest.mark.parametrize("p, witness", [

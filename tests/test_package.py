@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +24,15 @@ def test_benchmark_bindings_resolve():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_sources_stay_python_3_10():
+    # pyproject declares requires-python >= 3.10. Newer syntax would not
+    # parse there, and 3.10's int.to_bytes and int.from_bytes have no
+    # default length or byte order; a newer interpreter shows neither.
+    for path in sorted((ROOT / "src" / "fibonomial").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("to_bytes", "from_bytes")):
+                assert len(node.args) + len(node.keywords) >= 2, f"{path.name}:{node.lineno}"
