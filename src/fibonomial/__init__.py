@@ -35,7 +35,6 @@ from .valuation import (
     fibotorial_valuations,
     is_prime,
     nu_p_fibonomial_oracle,
-    nu_p_int,
 )
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "is_prime",
     "lucas_binomial_residue",
     "nu_p_fibonomial_oracle",
-    "nu_p_int",
     "render",
     "verify_conjecture",
 ]

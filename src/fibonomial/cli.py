@@ -278,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--out", default=None,
                    help=f"JSONL path (default: ${SWEEP_DIR_ENV} or cwd)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, never more than the rows; each "
-                        "sweeps one contiguous span of rows (default: the "
-                        "core count)")
+                        "sweeps one contiguous span of rows (default: 1, "
+                        "in process)")
     p.add_argument("--counterexample", action="store_true",
                    help="construct the witness for primes with entry point "
                         "below the prime")

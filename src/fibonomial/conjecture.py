@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat, zip_longest
 from math import isqrt
-from operator import lt, ne
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 from .core import binomial, fibonomial, iter_fibonomial_rows_mod
 from .radix import expand_base_fp, expand_base_p
@@ -158,14 +157,13 @@ def _row_chunks(rows: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(ends, ends[1:]) if lo < hi]
 
 
-def _pair_bits(x: Sequence[int], lo: int, hi: int,
-               test: Callable[[int, int], bool]) -> Iterator[bytes]:
-    """Per row n in [lo, hi), the n + 1 bytes test(x[k] + x[n - k], x[n])
-    for test lt or ne. x[:hi] is packed once into w-byte fields, forwards and
-    reversed, so the forward int's low n + 1 fields plus the reversed one
-    shifted down hi - 1 - n fields hold every pair sum. Bit b of a field lies
-    above twice the largest value: (2**b + t - 1) - sum keeps it where sum < t,
-    (sum ^ t) + 2**b - 1 where sum != t, and no field borrows or carries."""
+def _pair_bits(x: Sequence[int], lo: int, hi: int) -> Iterator[bytes]:
+    """Per row n in [lo, hi), the n + 1 bytes x[k] + x[n - k] < x[n]. x[:hi]
+    is packed once into w-byte fields, forwards and reversed, so the forward
+    int's low n + 1 fields plus the reversed one shifted down hi - 1 - n
+    fields hold every pair sum. Bit b of a field lies above twice the largest
+    value, so (2**b + x[n] - 1) - sum keeps it exactly where sum < x[n], and
+    no field borrows."""
     b = (2 * max(x[:hi])).bit_length()
     w, guard = b // 8 + 1, 1 << b
     chunks = [v.to_bytes(w, "little") for v in x[:hi]]
@@ -175,8 +173,7 @@ def _pair_bits(x: Sequence[int], lo: int, hi: int,
         size, shift = w * (n + 1), 8 * w * (hi - 1 - n)
         ones = all_ones >> shift
         pair = (fwd & ((1 << 8 * size) - 1)) + (rev >> shift)
-        held = ((guard + x[n] - 1) * ones - pair if test is lt
-                else (pair ^ x[n] * ones) + (guard - 1) * ones)
+        held = (guard + x[n] - 1) * ones - pair
         yield (held >> b & ones).to_bytes(size, "little")[::w]
 
 
@@ -188,22 +185,22 @@ def _sweep_rows(
 ) -> list[ConjectureVerdict]:
     """The disagreements among the pairs of rows [lo, hi), in (n, k) order.
 
-    The entry-point digits of 0 .. hi-1, their digit sums and the
-    divisibility bit of every digit-pair factor are computed once per call.
-    Adding k to n - k in the entry-point base lowers the digit sum by z - 1
-    for a carry out of the units place and by p - 1 for any other carry, so
-    the sums differ exactly when the addition carries, which is when p
-    divides the coefficient (Knuth and Wilf), p = 2 included. The oracle
-    prefix table rechecks that carry test at every pair; both sides of a
-    row come from _pair_bits. The digit product's row is built from the
-    digits of n by place value: the units digit's table row, then per
-    higher digit a of n one copy of the block so far for each digit b of k,
-    all ones where C(a, b)_F is divisible. A row costs O(z + p * digits)
-    Python steps plus O(n) machine-word operations.
+    Both sides of row n are built from the entry-point digits of n alone,
+    by place value, in one loop. The coefficient is divisible when adding k
+    to n - k in the entry-point base carries (Knuth and Wilf), p = 2
+    included, which is when some digit of k exceeds the matching digit of
+    n. The digit product is divisible when some digit factor C(a, b)_F is;
+    the divisibility bit of every such factor is computed once per call.
+    Each side starts from a block for k below z, from the units digit u:
+    the carry side is 0 for k <= u and 1 above, the digit product's is u's
+    table row. Per higher digit a of n, the block so far is copied once for
+    each digit b of k, with an all-ones block where b > a (carry side) or
+    where C(a, b)_F is divisible (digit product). The oracle prefix table
+    rechecks the carry side at every pair, a row at a time by _pair_bits.
+    A row costs O(z + p * digits) Python steps plus O(n) machine-word
+    operations.
     """
     p, z = profile.p, profile.p_star
-    digits = [expand_base_fp(n, profile) for n in range(hi)]
-    sums = [sum(d) for d in digits]
     # table[a][b]: whether p divides the digit factor C(a, b)_F; b > a gives
     # the zero coefficient, which p divides. Every digit of n < hi is below
     # both max(z, p) and hi, so a short sweep on a large prime stays small.
@@ -211,22 +208,23 @@ def _sweep_rows(
     table = [bytes([e == 0 for e in row.entries]) + b"\1" * (size - 1 - row.n)
              for row in iter_fibonomial_rows_mod(size, p)]
     bad = []
-    for n, lhs, oracle in zip(range(lo, hi), _pair_bits(sums, lo, hi, ne),
-                              _pair_bits(prefix, lo, hi, lt)):
+    for n, oracle in zip(range(lo, hi), _pair_bits(prefix, lo, hi)):
+        units, *high = expand_base_fp(n, profile) or (0,)
+        rhs = table[units][:z]
+        lhs = bytes(units + 1) + b"\1" * (len(rhs) - units - 1)
+        for a in high:
+            # b takes p values below the top digit and a + 1 at the top,
+            # where the copies need only reach k = n.
+            ones = b"\1" * len(rhs)
+            copies = min(p, n // len(rhs) + 1)
+            rhs = b"".join([ones if f else rhs for f in table[a][:copies]])
+            lhs = lhs * (a + 1) + ones * (copies - a - 1)
+        lhs, rhs = lhs[:n + 1], rhs[:n + 1]
         if lhs != oracle:
             k = next(k for k in range(n + 1) if lhs[k] != oracle[k])
             raise ArithmeticError(
                 f"carry test {lhs[k] == 1} disagrees with oracle exponent "
                 f"{prefix[n] - prefix[k] - prefix[n - k]} at (n={n}, k={k}, p={p})")
-        # b takes p values below the top digit and a + 1 at the top, where
-        # the copies need only reach k = n.
-        units, *high = digits[n] or (0,)
-        block = table[units][:z]
-        for a in high:
-            ones = b"\1" * len(block)
-            block = b"".join([ones if f else block
-                              for f in table[a][:min(p, n // len(block) + 1)]])
-        rhs = block[:n + 1]
         if lhs != rhs:
             bad.extend(ConjectureVerdict.compare(p, n, k, left == 1, right == 1)
                        for k, (left, right) in enumerate(zip(lhs, rhs, strict=True))

@@ -138,19 +138,6 @@ def entry_point(p: int) -> PrimeProfile:
     return PrimeProfile(p, z, nu, rel)
 
 
-def nu_p_int(x: int, p: int) -> Valuation:
-    """Largest e with p**e dividing x; x must be positive."""
-    if x <= 0:
-        raise ValueError(f"valuation requires a positive integer, got {x}")
-    if p < 2:
-        raise ValueError(f"prime must be >= 2, got {p}")
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return Valuation(e, "oracle")
-
-
 def carry_valuation(m: int, n: int, profile: PrimeProfile) -> Valuation:
     """nu_p of the fibonomial coefficient on (m+n, m), for odd p, by carries.
 

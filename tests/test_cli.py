@@ -9,7 +9,7 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibonomial.cli import main
+from fibonomial.cli import build_parser, main
 from fibonomial.core import fibonomial
 from fibonomial.render import RenderSpec, render
 from fibonomial.valuation import (
@@ -301,6 +301,12 @@ def test_verify_usage_errors(tmp_path, capsys):
                   ["--out", str(tmp_path / "missing" / "sweep.jsonl")]):
         code, _, err = run(capsys, "verify", "--prime", "7", "--rows", "60", *flags)
         assert code == 2 and "error:" in err, flags
+
+
+def test_verify_sweeps_in_process_by_default():
+    # Starting a pool costs more than it saves below a few thousand rows on
+    # two cores, so a sweep uses worker processes only when asked to.
+    assert build_parser().parse_args(["verify", "--prime", "7"]).jobs == 1
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -36,3 +36,20 @@ def test_sources_stay_python_3_10():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("to_bytes", "from_bytes")):
                 assert len(node.args) + len(node.keywords) >= 2, f"{path.name}:{node.lineno}"
+
+
+def test_library_imports_are_used():
+    # No linter runs on the package, so an import left behind when the code
+    # using it goes would stay unnoticed. __init__ imports to re-export.
+    for path in sorted((ROOT / "src" / "fibonomial").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in used, f"{path.name}:{node.lineno} imports {name} unused"

