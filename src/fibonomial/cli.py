@@ -14,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from .conjecture import (
     find_counterexample,
@@ -57,6 +59,34 @@ def _check_cap(n: int, cap: int, what: str) -> None:
         raise ValueError(
             f"{what} at n={n} exceeds the exact-size cap {cap}; "
             "pass --mod for residues or raise --cap")
+
+
+@contextmanager
+def _output_file(path: str) -> Iterator[Callable[[str], None]]:
+    """Check that path can be written before the work that fills it, and
+    yield the function that writes the finished text there. The check opens
+    path for appending, so an earlier file stays intact should the work
+    stop, and a file the check created is then removed. An OSError is a
+    usage error."""
+    created = not os.path.exists(path)
+    try:
+        open(path, "a", encoding="ascii").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+
+    def write(text: str) -> None:
+        try:
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from None
+
+    try:
+        yield write
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
@@ -149,12 +179,11 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
         _check_cap(args.rows - 1, args.cap, "exact triangle row")
     spec = RenderSpec(rows=args.rows, kind=args.kind,
                       modulus=args.mod, format=args.format)
-    document = render(spec)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(document)
+        with _output_file(args.out) as write:
+            write(render(spec))
     else:
-        sys.stdout.write(document)
+        sys.stdout.write(render(spec))
     return EXIT_OK
 
 
@@ -178,24 +207,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if out is None:
         directory = os.environ.get(SWEEP_DIR_ENV, ".")
         out = os.path.join(directory, f"sweep_p{args.prime}_rows{args.rows}.jsonl")
-    created = not os.path.exists(out)
-    try:
-        # Fail before the sweep, not after; append mode leaves an earlier
-        # report intact should the sweep stop on an oracle mismatch.
-        open(out, "a", encoding="ascii").close()
-    except OSError as exc:
-        raise ValueError(f"cannot write the report: {exc}") from None
-    try:
+    with _output_file(out) as write:
         record = verify_conjecture(profile, args.rows, jobs=args.jobs)
-    except BaseException:
-        if created:  # the check above made it; leave no empty report
-            os.remove(out)
-        raise
-    try:
-        with open(out, "w", encoding="ascii") as report:
-            record.write_jsonl(report)
-    except OSError as exc:
-        raise ValueError(f"cannot write the report: {exc}") from None
+        write("".join(line + "\n" for line in record.jsonl_lines()))
     print(f"p={record.p} rows={record.rows} method=carry "
           f"counterexamples={len(record.counterexamples)} "
           f"seconds={record.seconds:.2f}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat, zip_longest
 from math import isqrt
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import binomial, fibonomial, iter_fibonomial_rows_mod
 from .radix import expand_base_fp, expand_base_p
@@ -75,10 +75,6 @@ class SweepRecord:
         lines.append(json.dumps(
             {"counterexamples": len(self.counterexamples), "seconds": None}))
         return lines
-
-    def write_jsonl(self, fh: IO[str]) -> None:
-        for line in self.jsonl_lines():
-            fh.write(line + "\n")
 
 
 @lru_cache(maxsize=None)
@@ -190,34 +186,32 @@ def _sweep_rows(
     to n - k in the entry-point base carries (Knuth and Wilf), p = 2
     included, which is when some digit of k exceeds the matching digit of
     n. The digit product is divisible when some digit factor C(a, b)_F is;
-    the divisibility bit of every such factor is computed once per call.
-    Each side starts from a block for k below z, from the units digit u:
-    the carry side is 0 for k <= u and 1 above, the digit product's is u's
-    table row. Per higher digit a of n, the block so far is copied once for
-    each digit b of k, with an all-ones block where b > a (carry side) or
-    where C(a, b)_F is divisible (digit product). The oracle prefix table
-    rechecks the carry side at every pair, a row at a time by _pair_bits.
-    A row costs O(z + p * digits) Python steps plus O(n) machine-word
-    operations.
+    the oracle's test, prefix[b] + prefix[a - b] < prefix[a], gives that
+    bit for every digit pair once per call. Each side starts from a block
+    for k below z, from the units digit u: the carry side is 0 for k <= u
+    and 1 above, the digit product's is u's table row. Per higher digit a
+    of n, the block so far is copied once for each digit b of k, with an
+    all-ones block where b > a (carry side) or where C(a, b)_F is divisible
+    (digit product). The oracle rechecks the carry side at every pair, a
+    row at a time by _pair_bits. A row costs O(p * digits) Python steps
+    plus O(n) machine-word operations.
     """
     p, z = profile.p, profile.p_star
-    # table[a][b]: whether p divides the digit factor C(a, b)_F; b > a gives
-    # the zero coefficient, which p divides. Every digit of n < hi is below
-    # both max(z, p) and hi, so a short sweep on a large prime stays small.
-    size = min(max(z, p), hi)
-    table = [bytes([e == 0 for e in row.entries]) + b"\1" * (size - 1 - row.n)
-             for row in iter_fibonomial_rows_mod(size, p)]
+    # table[a][b], b <= a: whether p divides C(a, b)_F. Rows are read padded
+    # with ones, as b > a gives the zero coefficient, which p divides. Every
+    # digit of n < hi is below both max(z, p) and hi, which prefix covers.
+    table = list(_pair_bits(prefix, 0, min(max(z, p), hi)))
     bad = []
     for n, oracle in zip(range(lo, hi), _pair_bits(prefix, lo, hi)):
         units, *high = expand_base_fp(n, profile) or (0,)
-        rhs = table[units][:z]
-        lhs = bytes(units + 1) + b"\1" * (len(rhs) - units - 1)
+        rhs = table[units].ljust(min(z, n + 1), b"\1")
+        lhs = bytes(units + 1).ljust(len(rhs), b"\1")
         for a in high:
             # b takes p values below the top digit and a + 1 at the top,
             # where the copies need only reach k = n.
             ones = b"\1" * len(rhs)
             copies = min(p, n // len(rhs) + 1)
-            rhs = b"".join([ones if f else rhs for f in table[a][:copies]])
+            rhs = b"".join([ones if f else rhs for f in table[a].ljust(copies, b"\1")])
             lhs = lhs * (a + 1) + ones * (copies - a - 1)
         lhs, rhs = lhs[:n + 1], rhs[:n + 1]
         if lhs != oracle:

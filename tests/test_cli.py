@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibonomial.cli as cli
 from fibonomial.cli import build_parser, main
 from fibonomial.core import fibonomial
 from fibonomial.render import RenderSpec, render
@@ -221,6 +223,38 @@ def test_triangle_usage_errors(capsys):
     assert code == 2  # raster without a modulus
     code, _, err = run(capsys, "triangle", "--rows", "6", "--format", "tiff")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["triangle", "--rows", "9", "--mod", "2"],
+    ["verify", "--prime", "7", "--rows", "60"],
+])
+def test_unwritable_out_is_usage_error(command, tmp_path):
+    # A missing directory or a directory itself: both commands check the
+    # path before any work, exit 2 with a message, and leave nothing behind.
+    for out in (tmp_path / "missing" / "doc.txt", tmp_path):
+        done = subprocess.run([sys.executable, "-m", "fibonomial", *command, "--out", str(out)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 2, done.stderr
+        assert "error: cannot write" in done.stderr and "Traceback" not in done.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_triangle_render_failure_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
+    # The path checked before rendering is removed again if the check made
+    # it, and an earlier file is kept, when the render then fails.
+    def failing(spec):
+        raise ValueError("render failed")
+
+    monkeypatch.setattr(cli, "render", failing)
+    earlier = tmp_path / "earlier.txt"
+    earlier.write_bytes(b"an earlier triangle\n")
+    for out in (tmp_path / "fresh.txt", earlier):
+        code, out_text, err = run(capsys, "triangle", "--rows", "8", "--out", str(out))
+        assert code == 2 and out_text == "" and "render failed" in err
+    assert list(tmp_path.iterdir()) == [earlier]
+    assert earlier.read_bytes() == b"an earlier triangle\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,5 +1,4 @@
 import concurrent.futures
-import io
 import json
 import math
 from itertools import accumulate, zip_longest
@@ -18,9 +17,9 @@ from fibonomial.conjecture import (
     lucas_binomial_residue,
     verify_conjecture,
 )
-from fibonomial.core import fib, fib_mod, fibonomial_row_mod
+from fibonomial.core import fib, fib_mod, fibonomial_row_mod, iter_fibonomial_rows_mod
 from fibonomial.radix import expand_base_fp
-from fibonomial.valuation import entry_point, is_prime
+from fibonomial.valuation import Relation, entry_point, fibotorial_valuations, is_prime
 
 from oracles import (
     digits_le,
@@ -264,21 +263,42 @@ def test_pair_bits_match_per_pair_comparisons(case):
     assert list(conjecture._pair_bits(x, lo, hi)) == want
 
 
+def test_digit_factor_table_from_prefix_matches_triangle_mod_p():
+    # The sweep reads "p divides C(a, b)_F" off exact valuations, where the
+    # triangle mod p gives it by the row recurrence: both must agree on
+    # every digit pair a, b < max(z, p), in both relation classes.
+    classes = set()
+    for p in filter(is_prime, range(200)):
+        profile = entry_point(p)
+        classes.add(profile.relation is Relation.LESS)
+        size = max(profile.p_star, p)
+        table = conjecture._pair_bits(fibotorial_valuations(size - 1, p), 0, size)
+        want = [bytes(e == 0 for e in row.entries)
+                for row in iter_fibonomial_rows_mod(size, p)]
+        assert list(table) == want, p
+    assert classes == {True, False}
+
+
 @pytest.mark.parametrize("method", ["carry", "oracle"])
 def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatch):
     # z = 10008 > p = 10007: a table sized by the prime would take ~10^8
-    # cells; the digits of 30 rows need a 30-row table.
-    sizes = []
-    rows_mod = conjecture.iter_fibonomial_rows_mod
+    # cells; the digits of 30 rows need 30 entries of the prefix table,
+    # and no row of the triangle mod p.
+    packed = []
+    pair_bits = conjecture._pair_bits
 
-    def recording(count, m):
-        sizes.append(count)
-        return rows_mod(count, m)
+    def recording(x, lo, hi):
+        packed.append(len(x[:hi]))
+        return pair_bits(x, lo, hi)
 
-    monkeypatch.setattr(conjecture, "iter_fibonomial_rows_mod", recording)
+    def refused(count, m):
+        raise AssertionError(f"row recurrence called for {count} rows mod {m}")
+
+    monkeypatch.setattr(conjecture, "_pair_bits", recording)
+    monkeypatch.setattr(conjecture, "iter_fibonomial_rows_mod", refused)
     assert entry_point(10007).p_star == 10008
     assert _sweeps_agree(10007, 30, method, 1) == []
-    assert max(sizes) == 30
+    assert packed and max(packed) <= 30
 
 
 def test_oracle_stride_catches_wrong_carry_valuation(corrupt_oracle):
@@ -500,9 +520,6 @@ def test_sweep_record_jsonl_schema():
     assert json.loads(lines[2]) == {"p": 11, "n": 100, "k": 20,
                                     "lhs": True, "rhs": True, "agree": True}
     assert json.loads(lines[3]) == {"counterexamples": 2, "seconds": None}
-    fh = io.StringIO()
-    record.write_jsonl(fh)
-    assert fh.getvalue() == "".join(line + "\n" for line in lines)
 
 
 def test_fib_mod_periodicity_supports_shift():
