@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import IO, Callable, Iterator
 
 from .conjecture import (
     find_counterexample,
@@ -62,24 +62,24 @@ def _check_cap(n: int, cap: int, what: str) -> None:
 
 
 @contextmanager
-def _output_file(path: str) -> Iterator[Callable[[str], None]]:
+def _output_file(path: str) -> Iterator[Callable[[Callable[[IO[str]], object]], None]]:
     """Check that path can be written before the work that fills it, and
-    yield the function that writes the finished text there. The check opens
-    path for appending, so an earlier file stays intact should the work
-    stop, and a file the check created is then removed. An OSError is a
-    usage error."""
+    yield the function that opens it afresh and hands the file to a writer.
+    The check opens path for appending, so an earlier file stays intact
+    should the work stop, and a file the check created is then removed. An
+    OSError is a usage error."""
     created = not os.path.exists(path)
     try:
         open(path, "a", encoding="ascii").close()
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
-    def write(text: str) -> None:
+    def write(writer: Callable[[IO[str]], object]) -> None:
         try:
             with open(path, "w", encoding="ascii") as fh:
-                fh.write(text)
+                writer(fh)
         except OSError as exc:
-            raise ValueError(f"cannot write {path}: {exc}") from None
+            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
     try:
         yield write
@@ -181,7 +181,8 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
                       modulus=args.mod, format=args.format)
     if args.out:
         with _output_file(args.out) as write:
-            write(render(spec))
+            document = render(spec)
+            write(lambda fh: fh.write(document))
     else:
         sys.stdout.write(render(spec))
     return EXIT_OK
@@ -209,7 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         out = os.path.join(directory, f"sweep_p{args.prime}_rows{args.rows}.jsonl")
     with _output_file(out) as write:
         record = verify_conjecture(profile, args.rows, jobs=args.jobs)
-        write("".join(line + "\n" for line in record.jsonl_lines()))
+        write(record.write_jsonl)
     print(f"p={record.p} rows={record.rows} method=carry "
           f"counterexamples={len(record.counterexamples)} "
           f"seconds={record.seconds:.2f}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat, zip_longest
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 from .core import binomial, fibonomial, iter_fibonomial_rows_mod
 from .radix import expand_base_fp, expand_base_p
@@ -75,6 +75,10 @@ class SweepRecord:
         lines.append(json.dumps(
             {"counterexamples": len(self.counterexamples), "seconds": None}))
         return lines
+
+    def write_jsonl(self, fh: IO[str]) -> None:
+        for line in self.jsonl_lines():
+            fh.write(line + "\n")
 
 
 @lru_cache(maxsize=None)

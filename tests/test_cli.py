@@ -238,6 +238,7 @@ def test_unwritable_out_is_usage_error(command, tmp_path):
                               env={**os.environ, "PYTHONPATH": SRC})
         assert done.returncode == 2, done.stderr
         assert "error: cannot write" in done.stderr and "Traceback" not in done.stderr
+        assert done.stderr.count(str(out)) == 1, done.stderr
         assert list(tmp_path.iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import io
 import json
 import math
 from itertools import accumulate, zip_longest
@@ -520,6 +521,9 @@ def test_sweep_record_jsonl_schema():
     assert json.loads(lines[2]) == {"p": 11, "n": 100, "k": 20,
                                     "lhs": True, "rhs": True, "agree": True}
     assert json.loads(lines[3]) == {"counterexamples": 2, "seconds": None}
+    fh = io.StringIO()
+    record.write_jsonl(fh)
+    assert fh.getvalue() == "".join(line + "\n" for line in lines)
 
 
 def test_fib_mod_periodicity_supports_shift():
