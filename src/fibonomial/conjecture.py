@@ -204,11 +204,13 @@ def _sweep_rows(
     # table[a][b], b <= a: whether p divides C(a, b)_F. Rows are read padded
     # with ones, as b > a gives the zero coefficient, which p divides. Every
     # digit of n < hi is below both max(z, p) and hi, which prefix covers.
-    table = list(_pair_bits(prefix, 0, min(max(z, p), hi)))
+    # Rows below z are one digit, whose table row is the oracle row, so a
+    # span that ends by z builds no table.
+    table = list(_pair_bits(prefix, 0, min(max(z, p), hi))) if hi > z else []
     bad = []
     for n, oracle in zip(range(lo, hi), _pair_bits(prefix, lo, hi)):
         units, *high = expand_base_fp(n, profile) or (0,)
-        rhs = table[units].ljust(min(z, n + 1), b"\1")
+        rhs = table[units].ljust(min(z, n + 1), b"\1") if table else oracle
         lhs = bytes(units + 1).ljust(len(rhs), b"\1")
         for a in high:
             # b takes p values below the top digit and a + 1 at the top,

@@ -1,6 +1,7 @@
 """Exact and modular Fibonacci, fibotorial, and fibonomial arithmetic.
 
-Everything here is plain integer arithmetic on Python ints. Indexing is
+Everything here is plain integer arithmetic: on Python ints, except exact
+triangle rows, which are integral Decimals computed in base ten. Indexing is
 1-based (F_1 = F_2 = 1); index 0 is a domain error for callers, and F_0 = 0
 appears only inside the doubling routine and as a weight of the row
 recurrence. These functions are the ground truth that the carry-counting
@@ -11,15 +12,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 
 @dataclass(frozen=True)
 class TriangleRow:
-    """One row of a coefficient triangle, optionally reduced mod `modulus`."""
+    """One row of a coefficient triangle, optionally reduced mod `modulus`.
+
+    Residues are ints. Exact entries (modulus None) are integral Decimals,
+    so printing one is linear in its digits; they compare and hash equal to
+    the ints they stand for.
+    """
 
     n: int
-    entries: tuple[int, ...]
+    entries: tuple[int | Decimal, ...]
     modulus: int | None = None
 
 
@@ -99,6 +108,12 @@ def _weighted_rows(count: int, m: int | None, fibonacci: bool,
     the second term at k = n-1); the weights w_i = 1 give Pascal's triangle.
     Given a width, only columns 0 .. width are computed: a row longer than
     that stops there, without its right edge.
+
+    Exact rows (m None) are computed in base ten, as integral Decimals, so
+    no entry needs a radix conversion to be printed. Their arithmetic goes
+    through one context with the largest precision and exponent range there
+    are, which traps Inexact and Rounded, never through the ambient context,
+    whose 28 digits would round without an error.
     """
     if count < 0:
         raise ValueError(f"row count must be >= 0, got {count}")
@@ -106,22 +121,34 @@ def _weighted_rows(count: int, m: int | None, fibonacci: bool,
         raise ValueError(f"modulus must be >= 2, got {m}")
     if width is not None and width < 0:
         raise ValueError(f"width must be >= 0, got {width}")
-    if fibonacci:
-        w = [0, 1]
-        while len(w) < count:
-            w.append(w[-1] + w[-2] if m is None else (w[-1] + w[-2]) % m)
+    if m is None:
+        # Imported here: every CLI command would pay for it at start-up, and
+        # only exact triangles use it.
+        from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
+                             Inexact, Rounded)
+
+        exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                        traps=[Inexact, Rounded])
+        add, mul, fma = exact.add, exact.multiply, exact.fma
+        zero, one = Decimal(0), Decimal(1)
     else:
-        w = [1] * count
+        zero, one = 0, 1
+    if fibonacci:
+        w = [zero, one]
+        while len(w) < count:
+            w.append(add(w[-1], w[-2]) if m is None else (w[-1] + w[-2]) % m)
+    else:
+        w = [one] * count
     if width is None:
         width = count
-    row: list[int] = []
+    row: list[int | Decimal] = []
     for n in range(count):
         terms = zip(w[2:n + 1], row[1:], w[n - 2::-1], row[:-1])
         if m is None:
-            inner = [a * x + b * y for a, x, b, y in terms]
+            inner = [fma(a, x, mul(b, y)) for a, x, b, y in terms]  # a*x + b*y
         else:
             inner = [(a * x + b * y) % m for a, x, b, y in terms]
-        row = [1, *inner, 1] if 0 < n <= width else [1, *inner]
+        row = [one, *inner, one] if 0 < n <= width else [one, *inner]
         yield TriangleRow(n, tuple(row), m)
 
 

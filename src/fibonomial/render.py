@@ -10,6 +10,7 @@ color in SVG, so zero residues are visually distinct in both.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -62,6 +63,26 @@ def triangle_rows(spec: RenderSpec) -> list[TriangleRow]:
     return list(it)
 
 
+def _printable_rows(spec: RenderSpec) -> list[TriangleRow]:
+    """triangle_rows, held to Python's int-to-str digit limit.
+
+    Exact entries are Decimals, which print at any length, so the limit is
+    applied on purpose: when the largest entry, the middle of the last row
+    (both kinds of row are unimodal), has more digits than a nonzero limit,
+    this raises the ValueError that printing it as an int would.
+    """
+    rows = triangle_rows(spec)
+    if spec.modulus is None:
+        last = rows[-1].entries
+        digits = last[len(last) // 2].adjusted() + 1
+        limit = sys.get_int_max_str_digits()
+        if limit and digits > limit:
+            raise ValueError(
+                f"Exceeds the limit ({limit} digits) for integer string "
+                "conversion; use sys.set_int_max_str_digits() to increase the limit")
+    return rows
+
+
 def render(spec: RenderSpec) -> str:
     """Dispatch on spec.format; every path returns a complete document."""
     if spec.format == "ascii":
@@ -76,7 +97,7 @@ def render(spec: RenderSpec) -> str:
 
 
 def render_ascii(spec: RenderSpec) -> str:
-    rows = triangle_rows(spec)
+    rows = _printable_rows(spec)
     cells = [[str(e) for e in row.entries] for row in rows]
     width = max(len(c) for row in cells for c in row)
     gap = " " * width
@@ -141,11 +162,13 @@ def render_svg(spec: RenderSpec) -> str:
 
 
 def render_json(spec: RenderSpec) -> str:
-    rows = triangle_rows(spec)
-    doc = {
-        "kind": spec.kind,
-        "rows": spec.rows,
-        "modulus": spec.modulus,
-        "triangle": [list(row.entries) for row in rows],
-    }
-    return json.dumps(doc) + "\n"
+    """The text json.dumps gives for {"kind", "rows", "modulus", "triangle"},
+    plus a newline. Each row is written from its entries' own str, which for
+    exact rows is linear in their digits, and the pieces are joined once."""
+    rows = _printable_rows(spec)
+    head = json.dumps({"kind": spec.kind, "rows": spec.rows, "modulus": spec.modulus})
+    parts = [head[:-1], ', "triangle": [']
+    for row in rows:
+        parts += ("[", ", ".join(map(str, row.entries)), "], ")
+    parts[-1] = "]]}\n"
+    return "".join(parts)

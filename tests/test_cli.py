@@ -225,6 +225,32 @@ def test_triangle_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.fixture
+def str_digits_640():
+    # 640 is the smallest limit Python accepts.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_exact_triangle_keeps_the_str_limit(capsys, str_digits_640):
+    # Exact entries print at any length, so the int-to-str limit is kept on
+    # purpose: past it, json and ascii exit 2 with the message Python gives.
+    with pytest.raises(ValueError) as refused:
+        str(10 ** str_digits_640)
+    rows = 1
+    while fibonomial_short(rows - 1, (rows - 1) // 2) < 10 ** str_digits_640:
+        rows += 1
+    for fmt in ("json", "ascii"):
+        code, out, err = run(capsys, "triangle", "--rows", str(rows), "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {refused.value}\n"), fmt
+        code, out, err = run(capsys, "triangle", "--rows", str(rows - 1), "--format", fmt)
+        assert code == 0 and out and err == "", fmt
+
+
 @pytest.mark.parametrize("command", [
     ["triangle", "--rows", "9", "--mod", "2"],
     ["verify", "--prime", "7", "--rows", "60"],
@@ -345,9 +371,11 @@ def test_verify_sweeps_in_process_by_default():
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # Only a pooled sweep needs concurrent.futures.process; importing it
-    # with the CLI would add its start-up cost to every command.
-    code = "import sys, fibonomial.cli; print('concurrent.futures.process' in sys.modules)"
+    # Only a pooled sweep needs concurrent.futures.process, and only an
+    # exact triangle needs decimal; importing either with the CLI would add
+    # its start-up cost to every command.
+    code = ("import sys, fibonomial.cli; "
+            "print([m in sys.modules for m in ('concurrent.futures.process', 'decimal')])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"

@@ -283,8 +283,9 @@ def test_digit_factor_table_from_prefix_matches_triangle_mod_p():
 @pytest.mark.parametrize("method", ["carry", "oracle"])
 def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatch):
     # z = 10008 > p = 10007: a table sized by the prime would take ~10^8
-    # cells; the digits of 30 rows need 30 entries of the prefix table,
-    # and no row of the triangle mod p.
+    # cells. Rows below z are one digit each, so every call packs the prefix
+    # table once, for its oracle rows, and builds no digit-factor table; no
+    # row of the triangle mod p is computed.
     packed = []
     pair_bits = conjecture._pair_bits
 
@@ -299,7 +300,7 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
     monkeypatch.setattr(conjecture, "iter_fibonomial_rows_mod", refused)
     assert entry_point(10007).p_star == 10008
     assert _sweeps_agree(10007, 30, method, 1) == []
-    assert packed and max(packed) <= 30
+    assert packed == [30] + [hi for _, hi in conjecture._row_chunks(30, 3)]
 
 
 def test_oracle_stride_catches_wrong_carry_valuation(corrupt_oracle):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,24 @@ def test_exact_row_iterator_matches_fibonomial():
         for k, e in enumerate(row.entries):
             assert e == fibonomial(row.n, k)
         assert row.modulus is None
+
+
+def test_exact_rows_match_int_oracle_past_28_digits():
+    # Exact rows are integral Decimals. Under a rounding context (28 digits
+    # by default) fibonomial entries would go wrong from row 24 and binomial
+    # entries from row 97.
+    ft = fibotorial_seq(119)
+    fib_rows = list(iter_fibonomial_rows_exact(120))
+    for row in fib_rows:
+        assert list(row.entries) == [naive_fibonomial(row.n, k, ft)
+                                     for k in range(row.n + 1)], row.n
+    binom_rows = list(iter_binomial_rows_exact(200))
+    for row in binom_rows:
+        assert list(row.entries) == [math.comb(row.n, k) for k in range(row.n + 1)], row.n
+    for rows in (fib_rows, binom_rows):
+        last = rows[-1].entries
+        assert last[len(last) // 2].adjusted() + 1 > 28
+        assert all(isinstance(e, Decimal) and e.as_tuple().exponent == 0 for e in last)
 
 
 def test_binomial_rows_match_comb():

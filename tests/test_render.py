@@ -1,10 +1,13 @@
 import json
+import math
 import pathlib
 
 import pytest
 
 from fibonomial.core import fibonomial, fibonomial_row_mod
 from fibonomial.render import RenderSpec, render, render_json, triangle_rows
+
+from oracles import fibotorial_seq, naive_fibonomial
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -90,6 +93,20 @@ def test_json_round_trip_mod():
     doc = render_json(RenderSpec(rows=10, kind="fibonomial", modulus=5))
     obj = json.loads(doc)
     assert obj["triangle"][9] == [1, 4, 4, 1, 1, 1, 1, 4, 4, 1]
+
+
+@pytest.mark.parametrize("kind", ["fibonomial", "binomial"])
+@pytest.mark.parametrize("modulus", [None, 2, 5, 64])
+def test_json_is_json_dumps_of_int_rows(kind, modulus):
+    ft = fibotorial_seq(129)
+    for rows in (1, 2, 3, 17, 130):
+        want = [[naive_fibonomial(n, k, ft) if kind == "fibonomial" else math.comb(n, k)
+                 for k in range(n + 1)] for n in range(rows)]
+        if modulus is not None:
+            want = [[e % modulus for e in row] for row in want]
+        doc = json.dumps({"kind": kind, "rows": rows, "modulus": modulus,
+                          "triangle": want}) + "\n"
+        assert render_json(RenderSpec(rows, kind, modulus, "json")) == doc
 
 
 def test_render_domain_errors():
