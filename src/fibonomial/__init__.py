@@ -16,6 +16,7 @@ from .core import (
     fib,
     fib_mod,
     fibonomial,
+    fibonomial_mod,
     fibonomial_row_mod,
     fibotorial,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "fib",
     "fib_mod",
     "fibonomial",
+    "fibonomial_mod",
     "fibonomial_row_mod",
     "fibotorial",
     "fibotorial_valuations",

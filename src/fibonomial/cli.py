@@ -23,7 +23,7 @@ from .conjecture import (
     validate_sweep,
     verify_conjecture,
 )
-from .core import fib, fib_mod, fibonomial, fibonomial_row_mod
+from .core import fib, fib_mod, fibonomial, fibonomial_mod
 from .radix import expand_base_fp, expand_base_p
 from .render import FORMATS, KINDS, RenderSpec, render
 from .valuation import carry_valuation, entry_point, is_prime, nu_p_fibonomial_oracle
@@ -108,13 +108,7 @@ def _check_nk(args: argparse.Namespace) -> None:
 def _cmd_fibonomial(args: argparse.Namespace) -> int:
     _check_nk(args)
     if args.mod is not None:
-        if args.mod < 2:  # checked here too, as k > n computes no row
-            raise ValueError(f"modulus must be >= 2, got {args.mod}")
-        if args.k > args.n:
-            value = 0
-        else:  # C(n, k)_F = C(n, n-k)_F, so only columns <= min(k, n-k)
-            j = min(args.k, args.n - args.k)
-            value = fibonomial_row_mod(args.n, args.mod, width=j).entries[j]
+        value = fibonomial_mod(args.n, args.k, args.mod)
     else:
         _check_cap(args.n, args.cap, "exact fibonomial coefficient")
         value = fibonomial(args.n, args.k)

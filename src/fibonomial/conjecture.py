@@ -21,7 +21,7 @@ from itertools import chain, repeat, zip_longest
 from math import isqrt
 from typing import IO, Iterator, Sequence
 
-from .core import binomial, fibonomial, iter_fibonomial_rows_mod
+from .core import binomial, fibonomial, fibonomial_mod
 from .radix import expand_base_fp, expand_base_p
 from .valuation import (
     PrimeProfile,
@@ -250,17 +250,8 @@ def find_counterexample(profile: PrimeProfile) -> tuple[int, int, ConjectureVerd
     return n, k, ConjectureVerdict.compare(profile.p, n, k, lhs, rhs)
 
 
+# Unused by the library; kept while the benchmark's cache reset clears it.
 _rows_mod_cache: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _row_entry_mod(n: int, k: int, m: int) -> int:
-    if k > n:
-        return 0
-    rows = _rows_mod_cache.get(m)
-    if rows is None or len(rows) <= n:
-        rows = [r.entries for r in iter_fibonomial_rows_mod(max(n + 1, 64), m)]
-        _rows_mod_cache[m] = rows
-    return rows[n][k]
 
 
 def check_period_mod2(m: int, n: int, k: int) -> bool:
@@ -271,7 +262,7 @@ def check_period_mod2(m: int, n: int, k: int) -> bool:
     period = 3 * 2 ** m
     if not (0 <= n < period and 0 <= k < period):
         raise ValueError(f"need 0 <= n, k < {period}, got ({n}, {k})")
-    return _row_entry_mod(n + period, k, 2) == _row_entry_mod(n, k, 2)
+    return fibonomial_mod(n + period, k, 2) == fibonomial_mod(n, k, 2)
 
 
 def lucas_binomial_residue(n: int, k: int, p: int) -> int:

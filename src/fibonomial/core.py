@@ -90,6 +90,34 @@ def fibonomial(n: int, k: int) -> int:
     return q
 
 
+def fibonomial_mod(n: int, k: int, m: int) -> int:
+    """C(n, k)_F mod m from its j = min(k, n - k) ratios F_{n-j+i} / F_i, each
+    split mod M = m**2, m**4, ... as g * u with g = gcd(F, M). Once m | M / g,
+    g is F's whole part over the primes of m and u is a unit mod m; else M is
+    squared and the window restarts. Partial products are C(n - j + t, t)_F,
+    so the g parts divide out exactly. O(j + log n) steps; m is not factored.
+    """
+    if n < 0 or k < 0:
+        raise ValueError(f"fibonomial arguments must be >= 0, got ({n}, {k})")
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    if k > n:
+        return 0
+    j, big = min(k, n - k), m * m
+    while True:
+        part, top, bottom = 1, 1, 1
+        (a, b), (c, d) = _fib_pair(n - j + 1, big), (1, 1)  # F_{n-j+i}, F_i, successors
+        for _ in range(j):
+            g, h = math.gcd(a, big), math.gcd(c, big)
+            if big // g % m or big // h % m:
+                break
+            part, top, bottom = part * g // h, top * (a // g) % m, bottom * (c // h) % m
+            a, b, c, d = b, (a + b) % big, d, (c + d) % big
+        else:
+            return part * top * pow(bottom, -1, m) % m
+        big *= big
+
+
 def binomial(n: int, k: int) -> int:
     """Ordinary binomial coefficient; zero when k > n."""
     if n < 0 or k < 0:
@@ -97,8 +125,7 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _weighted_rows(count: int, m: int | None, fibonacci: bool,
-                   width: int | None = None) -> Iterator[TriangleRow]:
+def _weighted_rows(count: int, m: int | None, fibonacci: bool) -> Iterator[TriangleRow]:
     """Yield rows 0 .. count-1 of the weighted Pascal recurrence
 
         C(n, k) = w_{k+1} C(n-1, k) + w_{n-k-1} C(n-1, k-1),  0 < k < n,
@@ -106,8 +133,6 @@ def _weighted_rows(count: int, m: int | None, fibonacci: bool,
     with the row edges pinned to 1, reduced mod m unless m is None. The
     Fibonacci weights w_i = F_i give the fibonomial triangle (F_0 = 0 drops
     the second term at k = n-1); the weights w_i = 1 give Pascal's triangle.
-    Given a width, only columns 0 .. width are computed: a row longer than
-    that stops there, without its right edge.
 
     Exact rows (m None) are computed in base ten, as integral Decimals, so
     no entry needs a radix conversion to be printed. Their arithmetic goes
@@ -119,8 +144,6 @@ def _weighted_rows(count: int, m: int | None, fibonacci: bool,
         raise ValueError(f"row count must be >= 0, got {count}")
     if m is not None and m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    if width is not None and width < 0:
-        raise ValueError(f"width must be >= 0, got {width}")
     if m is None:
         # Imported here: every CLI command would pay for it at start-up, and
         # only exact triangles use it.
@@ -139,8 +162,6 @@ def _weighted_rows(count: int, m: int | None, fibonacci: bool,
             w.append(add(w[-1], w[-2]) if m is None else (w[-1] + w[-2]) % m)
     else:
         w = [one] * count
-    if width is None:
-        width = count
     row: list[int | Decimal] = []
     for n in range(count):
         terms = zip(w[2:n + 1], row[1:], w[n - 2::-1], row[:-1])
@@ -148,15 +169,13 @@ def _weighted_rows(count: int, m: int | None, fibonacci: bool,
             inner = [fma(a, x, mul(b, y)) for a, x, b, y in terms]  # a*x + b*y
         else:
             inner = [(a * x + b * y) % m for a, x, b, y in terms]
-        row = [one, *inner, one] if 0 < n <= width else [one, *inner]
+        row = [one, *inner, one] if n else [one]
         yield TriangleRow(n, tuple(row), m)
 
 
-def iter_fibonomial_rows_mod(count: int, m: int,
-                             width: int | None = None) -> Iterator[TriangleRow]:
-    """Yield fibonomial triangle rows 0 .. count-1 reduced mod m, each cut
-    after column `width` when one is given."""
-    return _weighted_rows(count, m, fibonacci=True, width=width)
+def iter_fibonomial_rows_mod(count: int, m: int) -> Iterator[TriangleRow]:
+    """Yield fibonomial triangle rows 0 .. count-1 reduced mod m."""
+    return _weighted_rows(count, m, fibonacci=True)
 
 
 def iter_fibonomial_rows_exact(count: int) -> Iterator[TriangleRow]:
@@ -174,16 +193,12 @@ def iter_binomial_rows_exact(count: int) -> Iterator[TriangleRow]:
     return _weighted_rows(count, None, fibonacci=False)
 
 
-def fibonomial_row_mod(n: int, m: int, width: int | None = None) -> TriangleRow:
-    """Row n of the fibonomial triangle mod m, never touching big integers.
-
-    Given a width, only columns 0 .. width of rows 0 .. n are computed, so
-    the cost is O(n * width) cells instead of O(n * n).
-    """
+def fibonomial_row_mod(n: int, m: int) -> TriangleRow:
+    """Row n of the fibonomial triangle mod m, never touching big integers."""
     if n < 0:
         raise ValueError(f"row index must be >= 0, got {n}")
     row = None
-    for row in iter_fibonomial_rows_mod(n + 1, m, width):
+    for row in iter_fibonomial_rows_mod(n + 1, m):
         pass
     assert row is not None
     return row

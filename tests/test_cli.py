@@ -22,7 +22,7 @@ from fibonomial.valuation import (
     is_prime,
 )
 
-from oracles import fib_seq, fibonomial_short, naive_fibonomial
+from oracles import fib_mod_matrix, fib_seq, fibonomial_short, naive_fibonomial, nu
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(inspect.getfile(main))))
 
@@ -77,7 +77,7 @@ def test_exact_cap_is_enforced_and_adjustable(capsys):
 @given(st.data())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_fibonomial_mod_band_matches_exact(data):
-    # The band answer against the exact coefficient from its min(k, n-k)
+    # The windowed answer against the exact coefficient from its min(k, n-k)
     # Fibonacci factors, on both sides of the row.
     n = data.draw(st.integers(0, 3000))
     j = data.draw(st.integers(0, min(n // 2, 60)))
@@ -130,6 +130,30 @@ def test_big_entry_point_answers_in_a_fresh_process():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=10)
     assert done.returncode == 0, done.stderr
     assert "p_star=499999999994" in done.stdout
+
+
+def test_big_coefficients_mod_m_answer_in_a_fresh_process():
+    # C(20000, 10000)_F has about 2 * 10**7 digits and the row recurrence
+    # would take 2 * 10**8 cells; the window takes 10**4 steps. Its exponent
+    # of 7 is summed over the window's factors, each read mod 7**12: no F_i
+    # with i <= 20000 is divisible by 7**6, so the residue keeps its power.
+    n, j, big = 20000, 10000, 7 ** 12
+    nus, a, b = [], 1, 1
+    for _ in range(n):
+        nus.append(nu(a, 7))
+        a, b = b, (a + b) % big
+    assert sum(nus[n - j:]) - sum(nus[:j]) >= 1
+    # C(n, 2)_F = F_n F_{n-1} / (F_2 F_1), at n = 10**8.
+    m = 10 ** 8
+    product = fib_mod_matrix(m, 6) * fib_mod_matrix(m - 1, 6) % 6
+    for argv, want in ((["20000", "10000", "--mod", "7"], 0),
+                       ([str(m), "2", "--mod", "6"], product)):
+        done = subprocess.run(
+            [sys.executable, "-m", "fibonomial", "fibonomial", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+            timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{want}\n", argv
 
 
 def test_entry_point_query(capsys):

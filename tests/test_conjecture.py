@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fibonomial.conjecture as conjecture
+import fibonomial.core as core
 from fibonomial.conjecture import (
     ConjectureVerdict,
     SweepRecord,
@@ -285,7 +286,7 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
     # z = 10008 > p = 10007: a table sized by the prime would take ~10^8
     # cells. Rows below z are one digit each, so every call packs the prefix
     # table once, for its oracle rows, and builds no digit-factor table; no
-    # row of the triangle mod p is computed.
+    # row of the triangle mod p, and no coefficient mod p, is computed.
     packed = []
     pair_bits = conjecture._pair_bits
 
@@ -293,11 +294,12 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
         packed.append(len(x[:hi]))
         return pair_bits(x, lo, hi)
 
-    def refused(count, m):
-        raise AssertionError(f"row recurrence called for {count} rows mod {m}")
+    def refused(*args, **kwargs):
+        raise AssertionError(f"coefficients mod p computed with {args}")
 
     monkeypatch.setattr(conjecture, "_pair_bits", recording)
-    monkeypatch.setattr(conjecture, "iter_fibonomial_rows_mod", refused)
+    monkeypatch.setattr(core, "_weighted_rows", refused)
+    monkeypatch.setattr(conjecture, "fibonomial_mod", refused)
     assert entry_point(10007).p_star == 10008
     assert _sweeps_agree(10007, 30, method, 1) == []
     assert packed == [30] + [hi for _, hi in conjecture._row_chunks(30, 3)]

@@ -10,6 +10,7 @@ from fibonomial.core import (
     fib,
     fib_mod,
     fibonomial,
+    fibonomial_mod,
     fibonomial_row_mod,
     fibotorial,
     iter_binomial_rows_exact,
@@ -170,22 +171,28 @@ def test_fibonomial_row_mod_domain_errors():
         fibonomial_row_mod(-1, 5)
     with pytest.raises(ValueError):
         fibonomial_row_mod(3, 1)
-    with pytest.raises(ValueError):
-        fibonomial_row_mod(3, 5, width=-1)
 
 
 def test_fibonomial_band_matches_full_rows_dense():
-    # The entry at (n, k) is read at column j = min(k, n-k) of a band of
-    # width j; every (n, k) with k <= n < 150 has its j below 75.
-    for m in (2, 4, 6, 7, 12, 64, 1000003):
-        full = [row.entries for row in iter_fibonomial_rows_mod(150, m)]
-        for j in range(75):
-            for row in iter_fibonomial_rows_mod(150, m, width=j):
-                n = row.n
-                assert row.entries == full[n][:j + 1], (m, j, n)
-                if n >= 2 * j:
-                    assert row.entries[j] == full[n][n - j], (m, j, n)
-        assert fibonomial_row_mod(149, m, width=30).entries == full[149][:31]
+    # One coefficient from its window of Fibonacci ratios against every
+    # entry of the row recurrence's first 150 rows, and the zeros past the
+    # row's end. Each modulus but 243 and 1000003 has a prime that divides
+    # some F_i, i < 150, too often for M = m**2, so M is squared at least once.
+    for m in (2, 3, 4, 5, 6, 7, 8, 12, 25, 64, 243, 1000003):
+        for row in iter_fibonomial_rows_mod(150, m):
+            n = row.n
+            got = tuple(fibonomial_mod(n, k, m) for k in range(n + 3))
+            assert got == (*row.entries, 0, 0), (m, n)
+
+
+def test_fibonomial_mod_domain_errors():
+    # Arguments are checked before the k > n shortcut, with the CLI's words.
+    for args, message in (((-1, 2, 5), r"arguments must be >= 0, got \(-1, 2\)"),
+                          ((3, -1, 5), r"arguments must be >= 0, got \(3, -1\)"),
+                          ((2, 3, 1), "modulus must be >= 2, got 1"),
+                          ((2, 3, -4), "modulus must be >= 2, got -4")):
+        with pytest.raises(ValueError, match=message):
+            fibonomial_mod(*args)
 
 
 def test_exact_row_iterator_matches_fibonomial():

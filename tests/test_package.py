@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -14,16 +15,36 @@ def test_all_names_resolve():
     assert [name for name in fibonomial.__all__ if not hasattr(fibonomial, name)] == []
 
 
-def test_benchmark_bindings_resolve():
+def test_benchmark_bindings_resolve(tmp_path):
     # perfbench/tracing.py wraps package functions by name and clears and
     # reads their caches; a library name it binds that goes missing breaks
-    # the benchmark without failing any other test.
-    code = ("import tracing; rec = tracing.Recorder(); tracing.install(rec); "
-            "tracing.clear_caches(); tracing.read_caches(rec)")
+    # the benchmark without failing any other test. One command of each
+    # class the benchmark issues then runs through the wrappers, which
+    # catches a hook that resolves at install but breaks when it is called.
+    commands = [
+        (["fibonomial", "50", "7", "--mod", "10"], 0),
+        (["fibonomial", "30", "7"], 0),
+        (["valuation", "57", "26", "--prime", "7"], 0),
+        (["valuation", "57", "26", "--prime", "7", "--method", "oracle"], 0),
+        (["entry-point", "1000003"], 0),
+        (["fib", "100", "--mod", "7"], 0),
+        (["expand", "100", "--base", "Fp", "--prime", "7"], 0),
+        (["lucas", "10", "3", "--prime", "7"], 0),
+        (["verify", "--prime", "7", "--rows", "20", "--out", str(tmp_path / "v.jsonl")], 0),
+        (["verify", "--prime", "11", "--counterexample"], 1),
+        (["triangle", "--rows", "5", "--mod", "3", "--format", "pgm",
+          "--out", str(tmp_path / "t.pgm")], 0),
+        (["triangle", "--rows", "5", "--format", "json", "--out", str(tmp_path / "t.json")], 0),
+    ]
+    code = ("import json, tracing; from fibonomial import cli; rec = tracing.Recorder(); "
+            "tracing.install(rec); tracing.clear_caches(); tracing.read_caches(rec); "
+            f"print(json.dumps([cli.main(argv) for argv, _ in {commands!r}]))")
     path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout.splitlines()[-1])
+    assert [(argv, code) for (argv, _), code in zip(commands, codes)] == commands, done.stderr
 
 
 def test_sources_stay_python_3_10():
