@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from typing import IO, Callable, Iterator
 
 from .conjecture import (
+    MIN_SPAN_PAIRS,
     find_counterexample,
     lucas_binomial_residue,
     validate_sweep,
@@ -288,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help=f"JSONL path (default: ${SWEEP_DIR_ENV} or cwd)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, never more than the rows; each "
-                        "sweeps one contiguous span of rows (default: 1, "
-                        "in process)")
+                   help="at most this many worker processes, each "
+                        "sweeping one contiguous span of rows; fewer, or "
+                        "none, where a worker would get under "
+                        f"{MIN_SPAN_PAIRS:,} pairs (default: 1, in process)")
     p.add_argument("--counterexample", action="store_true",
                    help="construct the witness for primes with entry point "
                         "below the prime")

@@ -15,6 +15,7 @@ import time
 from itertools import accumulate
 
 import fibonomial
+import fibonomial.conjecture as conjecture
 from fibonomial.conjecture import (check_period_mod2, find_counterexample,
                                    verify_conjecture)
 from fibonomial.core import fib, fib_mod
@@ -184,16 +185,19 @@ def test_acceptance_8_self_similarity_and_period():
 
 
 def test_acceptance_9_parallel_determinism(tmp_path):
+    # The shortest sweep whose --jobs 8 plan starts a real pool.
+    rows = 6000
+    assert len(conjecture._row_chunks(rows, 8)) >= 2
     files = []
     for jobs in (1, 8):
         out = tmp_path / f"sweep_jobs{jobs}.jsonl"
         proc = subprocess.run(
             [sys.executable, "-m", "fibonomial", "verify", "--prime", "7",
-             "--rows", "200", "--jobs", str(jobs), "--out", str(out)],
+             "--rows", str(rows), "--jobs", str(jobs), "--out", str(out)],
             capture_output=True, text=True, env=CLI_ENV)
         assert proc.returncode == 0, proc.stderr
         files.append(out.read_bytes())
     assert files[0] == files[1]
     header = json.loads(files[0].decode().splitlines()[0])
-    assert header == {"p": 7, "rows": 200, "method": "carry"}
+    assert header == {"p": 7, "rows": rows, "method": "carry"}
     _pass("9", "verify --jobs 1 and --jobs 8 wrote byte-identical JSONL")

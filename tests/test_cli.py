@@ -1,7 +1,10 @@
+import concurrent.futures
 import contextlib
+import faulthandler
 import inspect
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibonomial.cli as cli
+import fibonomial.conjecture as conjecture
 from fibonomial.cli import build_parser, main
 from fibonomial.core import fibonomial
 from fibonomial.render import RenderSpec, render
@@ -367,6 +371,43 @@ def test_verify_oracle_mismatch_leaves_no_new_report(tmp_path, capsys, corrupt_o
     assert not report.exists()
 
 
+class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    """A real process pool that records the worker count asked for and each
+    completed shutdown."""
+
+    events: list = []
+
+    def __init__(self, max_workers):
+        self.events.append(("start", max_workers))
+        super().__init__(max_workers)
+
+    def shutdown(self, *args, **kwargs):
+        super().shutdown(*args, **kwargs)
+        self.events.append("shutdown")
+
+
+def test_verify_pooled_oracle_mismatch_leaves_no_new_report(
+        tmp_path, capsys, corrupt_oracle, monkeypatch):
+    # The pooled twin of the test above: a worker's ArithmeticError reaches
+    # the CLI, the pool shuts down, leaving no worker process behind, and
+    # the report goes. A hang dumps the stacks and exits instead of
+    # stalling the suite.
+    monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "events", [])
+    report = tmp_path / "fresh.jsonl"
+    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)
+    try:
+        code, out, err = run(capsys, "verify", "--prime", "7", "--rows", "40",
+                             "--jobs", "2", "--out", str(report))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert _RecordingPool.events == [("start", 2), "shutdown"]
+    assert multiprocessing.active_children() == []
+    assert code == 2 and out == "" and "disagrees with oracle" in err
+    assert not report.exists()
+
+
 def test_verify_counterexample_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--prime", "11", "--counterexample")
     assert code == 1
@@ -389,8 +430,8 @@ def test_verify_usage_errors(tmp_path, capsys):
 
 
 def test_verify_sweeps_in_process_by_default():
-    # Starting a pool costs more than it saves below a few thousand rows on
-    # two cores, so a sweep uses worker processes only when asked to.
+    # A sweep uses worker processes only when asked to, and then only past
+    # the measured pairs-per-worker floor.
     assert build_parser().parse_args(["verify", "--prime", "7"]).jobs == 1
 
 
@@ -403,3 +444,17 @@ def test_cli_import_leaves_process_pool_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
     assert done.stdout.strip() == "[False, False]"
+
+
+def test_short_pooled_sweep_leaves_process_pool_unloaded(tmp_path):
+    # --jobs 8 on 900 rows plans one span, so the sweep runs in process and
+    # never imports the pool machinery.
+    out = tmp_path / "sweep.jsonl"
+    code = ("import sys, fibonomial.cli as cli; "
+            "argv = ['verify', '--prime', '7', '--rows', '900', '--jobs', '8', "
+            f"'--out', {str(out)!r}]; "
+            "print(cli.main(argv), 'concurrent.futures.process' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+    assert out.read_text().splitlines()[0] == '{"p": 7, "rows": 900, "method": "carry"}'

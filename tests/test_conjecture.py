@@ -107,7 +107,10 @@ def test_verify_conjecture_method_and_relation_guards():
         verify_conjecture(entry_point(7), -1)
 
 
-def test_verify_conjecture_parallel_matches_serial():
+def test_verify_conjecture_parallel_matches_serial(monkeypatch):
+    # A floor of one pair a span lets 90 rows start a real pool.
+    monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
+    assert len(conjecture._row_chunks(90, 3)) >= 2
     prof = entry_point(7)
     serial = verify_conjecture(prof, 90, jobs=1)
     parallel = verify_conjecture(prof, 90, jobs=3)
@@ -115,17 +118,33 @@ def test_verify_conjecture_parallel_matches_serial():
     assert serial.jsonl_lines() == parallel.jsonl_lines()
 
 
-def test_row_chunks_split_rows_into_balanced_spans():
-    # jobs = 10**9 returns at once: the split costs O(min(jobs, rows)).
-    for rows in range(61):
-        total = rows * (rows + 1) // 2
-        for jobs in (*range(1, 10), 10 ** 9):
-            spans = conjecture._row_chunks(rows, jobs)
-            assert [n for lo, hi in spans for n in range(lo, hi)] == list(range(rows))
-            assert all(lo < hi for lo, hi in spans)
-            assert len(spans) <= min(jobs, rows)
-            pairs = [(hi * (hi + 1) - lo * (lo + 1)) // 2 for lo, hi in spans]
-            assert all(x <= total / len(spans) + rows for x in pairs), (rows, jobs, spans)
+def test_row_chunks_split_rows_into_balanced_spans(monkeypatch):
+    # jobs = 10**9 returns at once: the split costs O(min(jobs, rows)). The
+    # lowered floors reach the plans where jobs exceeds rows / 2.
+    for floor in (1, 2, 7, 100, conjecture.MIN_SPAN_PAIRS):
+        monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", floor)
+        for rows in range(61):
+            total = rows * (rows + 1) // 2
+            for jobs in (*range(1, 10), rows, rows + 1, 10 ** 9):
+                spans = conjecture._row_chunks(rows, jobs)
+                assert [n for lo, hi in spans for n in range(lo, hi)] == list(range(rows))
+                assert all(lo < hi for lo, hi in spans)
+                assert len(spans) <= min(jobs, rows)
+                assert len(spans) == (max(min(jobs, rows, total // floor), 1) if rows else 0)
+                pairs = [(hi * (hi + 1) - lo * (lo + 1)) // 2 for lo, hi in spans]
+                assert all(x <= total / len(spans) + rows for x in pairs), (rows, jobs, spans)
+
+
+def test_row_chunks_start_a_second_worker_at_the_measured_floor():
+    # The floor is the pairs per worker of the shortest sweep at which two
+    # workers beat one: 6,000 rows.
+    assert conjecture.MIN_SPAN_PAIRS == 6000 * 6001 // 4
+    assert len(conjecture._row_chunks(5999, 2)) == 1
+    assert len(conjecture._row_chunks(6000, 2)) == 2
+    assert len(conjecture._row_chunks(6000, 10 ** 9)) == 2
+    assert len(conjecture._row_chunks(20000, 8)) == 8
+    for rows in (0, 1, 900, 5999):
+        assert len(conjecture._row_chunks(rows, 1)) == min(rows, 1)
 
 
 class _InProcessPool:
@@ -151,6 +170,8 @@ class _InProcessPool:
 def test_verify_conjecture_pool_has_one_worker_per_span(rows, jobs, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
+    assert len(conjecture._row_chunks(rows, jobs)) >= 2
     prof = entry_point(7)
     pooled = verify_conjecture(prof, rows, jobs=jobs)
     assert _InProcessPool.sizes == [len(conjecture._row_chunks(rows, jobs))]
@@ -160,6 +181,17 @@ def test_verify_conjecture_pool_has_one_worker_per_span(rows, jobs, monkeypatch)
     assert pooled.counterexamples == serial.counterexamples
 
 
+def test_verify_conjecture_short_sweep_starts_no_pool(monkeypatch):
+    # 900 rows hold far fewer pairs than one worker needs to pay for its
+    # start-up, so --jobs 8 sweeps in process.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    prof = entry_point(7)
+    record = verify_conjecture(prof, 900, jobs=8)
+    assert _InProcessPool.sizes == []
+    assert record.jsonl_lines() == verify_conjecture(prof, 900, jobs=1).jsonl_lines()
+
+
 def _sweeps_agree(p, rows, method="oracle", stride=0):
     # method and stride choose how the per-pair reference takes its
     # left-hand side; the sweep itself has one path.
@@ -167,8 +199,12 @@ def _sweeps_agree(p, rows, method="oracle", stride=0):
     prefix = conjecture.fibotorial_valuations(rows - 1, p)
     want = sweep_rows_per_pair(profile, 0, rows, prefix, method, stride)
     assert conjecture._sweep_rows(profile, 0, rows, prefix) == want
-    chunked = [v for lo, hi in conjecture._row_chunks(rows, 3)
-               for v in conjecture._sweep_rows(profile, lo, hi, prefix)]
+    # A floor of one pair a span gives a short sweep three spans too.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
+        spans = conjecture._row_chunks(rows, 3)
+    assert len(spans) == 3
+    chunked = [v for lo, hi in spans for v in conjecture._sweep_rows(profile, lo, hi, prefix)]
     assert chunked == want
     return want
 
@@ -300,6 +336,7 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
     monkeypatch.setattr(conjecture, "_pair_bits", recording)
     monkeypatch.setattr(core, "_weighted_rows", refused)
     monkeypatch.setattr(conjecture, "fibonomial_mod", refused)
+    monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
     assert entry_point(10007).p_star == 10008
     assert _sweeps_agree(10007, 30, method, 1) == []
     assert packed == [30] + [hi for _, hi in conjecture._row_chunks(30, 3)]
