@@ -289,10 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help=f"JSONL path (default: ${SWEEP_DIR_ENV} or cwd)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="at most this many worker processes, each "
-                        "sweeping one contiguous span of rows; fewer, or "
-                        "none, where a worker would get under "
-                        f"{MIN_SPAN_PAIRS:,} pairs (default: 1, in process)")
+                   help="at most this many worker processes, never more "
+                        "than the rows; each sweeps one contiguous span of "
+                        "rows. A sweep of fewer than "
+                        f"{2 * MIN_SPAN_PAIRS:,} pairs (6,000 rows) runs in "
+                        "process (default: 1, in process)")
     p.add_argument("--counterexample", action="store_true",
                    help="construct the witness for primes with entry point "
                         "below the prime")

@@ -125,9 +125,8 @@ def verify_conjecture(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> Swe
     confirms it at every pair; a mismatch is an arithmetic bug and raises,
     never a counterexample. The rows are split by _row_chunks into at most
     jobs contiguous spans, one per worker process; a sweep too short to pay
-    for a second worker is one span and runs in this process. The
-    disagreements come out in (n, k) order either way. Arguments are
-    checked by validate_sweep.
+    for a pool is one span and runs in this process. The disagreements come
+    out in (n, k) order either way. Arguments are checked by validate_sweep.
     """
     validate_sweep(profile, rows, jobs=jobs)
 
@@ -150,25 +149,26 @@ def verify_conjecture(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> Swe
     return SweepRecord(profile.p, rows, bad, time.perf_counter() - start)
 
 
-# A worker process pays for its start-up only past this many pairs: fresh
-# `verify --jobs 2` first beat `--jobs 1` at both p = 7 and p = 163 at 6,000
-# rows, R(R + 1)/4 pairs a worker (BENCH_pool.json).
+# Fresh `verify --jobs 2` first beat `--jobs 1` at both p = 7 and p = 163 at
+# 6,000 rows, R(R + 1)/4 pairs a worker (BENCH_pool.json). A fresh process
+# also imports the pool machinery; a long-lived caller that already has it
+# would gain from two workers from about 3,000 rows, but gets none below
+# 6,000. Only two workers were measured, so the floor decides whether a
+# pool starts, not its size.
 MIN_SPAN_PAIRS = 6000 * 6001 // 4
 
 
 def _row_chunks(rows: int, jobs: int) -> list[tuple[int, int]]:
-    """Split [0, rows) into j contiguous, non-empty spans of about equal
-    pair count, one per worker. Rows [0, b) hold b(b + 1)/2 pairs, and
-    j = min(jobs, rows, rows(rows + 1)/2 // MIN_SPAN_PAIRS), at least 1, so a
-    sweep too short to pay for a second worker plans one span and runs in
-    process. The i-th span ends near row rows * sqrt(i / j); the cap at
-    rows - j + i, which binds only when j > rows / 2, keeps each span one
-    row at least."""
-    if rows == 0:
-        return []
-    jobs = max(min(jobs, rows, rows * (rows + 1) // 2 // MIN_SPAN_PAIRS), 1)
-    ends = [min(isqrt(i * rows * rows // jobs), rows - jobs + i) for i in range(jobs + 1)]
-    return list(zip(ends, ends[1:]))
+    """Split [0, rows) into at most min(jobs, rows) contiguous, non-empty
+    spans of about equal pair count. Rows [0, b) hold b(b + 1)/2 pairs, so
+    the i-th of j spans ends near row rows * sqrt(i / j). A sweep of fewer
+    than 2 * MIN_SPAN_PAIRS pairs, too short to pay two workers' start-up,
+    is one span and runs in process."""
+    if rows * (rows + 1) // 2 < 2 * MIN_SPAN_PAIRS:
+        jobs = 1
+    jobs = max(min(jobs, rows), 1)
+    ends = [isqrt(i * rows * rows // jobs) for i in range(jobs + 1)]
+    return [(lo, hi) for lo, hi in zip(ends, ends[1:]) if lo < hi]
 
 
 def _pair_bits(x: Sequence[int], lo: int, hi: int) -> Iterator[bytes]:

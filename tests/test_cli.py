@@ -430,8 +430,8 @@ def test_verify_usage_errors(tmp_path, capsys):
 
 
 def test_verify_sweeps_in_process_by_default():
-    # A sweep uses worker processes only when asked to, and then only past
-    # the measured pairs-per-worker floor.
+    # A sweep uses worker processes only when asked to, and then only from
+    # the measured 6,000 rows up.
     assert build_parser().parse_args(["verify", "--prime", "7"]).jobs == 1
 
 

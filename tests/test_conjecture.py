@@ -120,7 +120,8 @@ def test_verify_conjecture_parallel_matches_serial(monkeypatch):
 
 def test_row_chunks_split_rows_into_balanced_spans(monkeypatch):
     # jobs = 10**9 returns at once: the split costs O(min(jobs, rows)). The
-    # lowered floors reach the plans where jobs exceeds rows / 2.
+    # lowered floors put the step from one span to a pool inside the rows
+    # tried.
     for floor in (1, 2, 7, 100, conjecture.MIN_SPAN_PAIRS):
         monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", floor)
         for rows in range(61):
@@ -130,20 +131,25 @@ def test_row_chunks_split_rows_into_balanced_spans(monkeypatch):
                 assert [n for lo, hi in spans for n in range(lo, hi)] == list(range(rows))
                 assert all(lo < hi for lo, hi in spans)
                 assert len(spans) <= min(jobs, rows)
-                assert len(spans) == (max(min(jobs, rows, total // floor), 1) if rows else 0)
+                if total < 2 * floor:
+                    assert len(spans) == min(rows, 1)
+                else:
+                    assert len(spans) >= min(jobs, 2)
                 pairs = [(hi * (hi + 1) - lo * (lo + 1)) // 2 for lo, hi in spans]
                 assert all(x <= total / len(spans) + rows for x in pairs), (rows, jobs, spans)
 
 
-def test_row_chunks_start_a_second_worker_at_the_measured_floor():
+def test_row_chunks_start_a_pool_at_the_measured_floor():
     # The floor is the pairs per worker of the shortest sweep at which two
-    # workers beat one: 6,000 rows.
+    # workers beat one: 6,000 rows. From there on a sweep gets one worker
+    # per job, as many as it asks for.
     assert conjecture.MIN_SPAN_PAIRS == 6000 * 6001 // 4
-    assert len(conjecture._row_chunks(5999, 2)) == 1
-    assert len(conjecture._row_chunks(6000, 2)) == 2
-    assert len(conjecture._row_chunks(6000, 10 ** 9)) == 2
-    assert len(conjecture._row_chunks(20000, 8)) == 8
-    for rows in (0, 1, 900, 5999):
+    for jobs in (1, 2, 8, 10 ** 9):
+        assert len(conjecture._row_chunks(5999, jobs)) == 1
+    for rows in (6000, 8000, 12000, 20000):
+        assert [len(conjecture._row_chunks(rows, jobs)) for jobs in (1, 2, 3, 8)] == [1, 2, 3, 8]
+    assert len(conjecture._row_chunks(6000, 10 ** 9)) > 8
+    for rows in (0, 1, 900):
         assert len(conjecture._row_chunks(rows, 1)) == min(rows, 1)
 
 
@@ -182,7 +188,7 @@ def test_verify_conjecture_pool_has_one_worker_per_span(rows, jobs, monkeypatch)
 
 
 def test_verify_conjecture_short_sweep_starts_no_pool(monkeypatch):
-    # 900 rows hold far fewer pairs than one worker needs to pay for its
+    # 900 rows are far below the 6,000 at which a pool pays for its
     # start-up, so --jobs 8 sweeps in process.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
