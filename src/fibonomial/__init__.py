@@ -1,10 +1,9 @@
 """Fibonomial coefficients: exact and modular triangles, entry-point digit
-expansions, p-adic valuations by carry counting, and divisibility sweeps."""
+expansions, p-adic valuations in closed form, and divisibility sweeps."""
 
 from .conjecture import (
     ConjectureVerdict,
     SweepRecord,
-    check_period_mod2,
     digit_product_divisible,
     find_counterexample,
     lucas_binomial_residue,
@@ -50,7 +49,6 @@ __all__ = [
     "add_with_carries",
     "binomial",
     "carry_valuation",
-    "check_period_mod2",
     "digit_product_divisible",
     "entry_point",
     "expand_base_fp",

@@ -132,10 +132,7 @@ def _cmd_valuation(args: argparse.Namespace) -> int:
         raise ValueError(
             f"coefficient at (n={args.n}, k={args.k}) is zero and has no valuation")
     profile = entry_point(args.prime)
-    method = args.method
-    if method is None:
-        method = "oracle" if args.prime == 2 else "carry"
-    if method == "carry":
+    if args.method == "carry":
         val = carry_valuation(args.k, args.n - args.k, profile)
     else:
         _check_cap(args.n, args.cap, "oracle valuation")
@@ -217,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibonomial",
         description="Fibonomial triangles, entry-point digit expansions, "
-                    "carry-counted valuations, and divisibility sweeps.")
+                    "closed-form valuations, and divisibility sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_json(p: argparse.ArgumentParser) -> None:
@@ -253,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--method", choices=("carry", "oracle"), default=None,
-                   help="carry counting (odd p, default) or the exact oracle")
+    p.add_argument("--method", choices=("carry", "oracle"), default="carry",
+                   help="closed form, the carry count at odd p (default), or the oracle")
     add_cap(p)
     add_json(p)
     p.set_defaults(func=_cmd_valuation)

@@ -7,8 +7,7 @@ in the entry-point base. Sweeps check the biconditional row by row; for
 primes with z < p the biconditional provably fails and a constructive
 witness is produced instead.
 
-Also here: the mod-2 period of the triangle and the classical
-digit-product residue for ordinary binomials.
+Also here: the classical digit-product residue for ordinary binomials.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from itertools import chain, repeat, zip_longest
 from math import isqrt
 from typing import IO, Iterator, Sequence
 
-from .core import binomial, fibonomial, fibonomial_mod
+from .core import binomial
 from .radix import expand_base_fp, expand_base_p
 from .valuation import (
     PrimeProfile,
@@ -82,16 +81,15 @@ class SweepRecord:
 
 
 @lru_cache(maxsize=None)
-def _digit_factor_divisible(a: int, b: int, p: int) -> bool:
-    # Digit pairs are small enough to evaluate the coefficient exactly once
-    # and cache the divisibility bit; b > a gives the zero coefficient,
-    # which every prime divides.
-    return fibonomial(a, b) % p == 0
+def _digit_factor_divisible(a: int, b: int, profile: PrimeProfile) -> bool:
+    # b > a gives the zero coefficient, which every prime divides.
+    return b > a or carry_valuation(b, a - b, profile).exponent >= 1
 
 
-def _pairs_divisible(nd: tuple[int, ...], kd: tuple[int, ...], p: int) -> bool:
+def _pairs_divisible(nd: tuple[int, ...], kd: tuple[int, ...],
+                     profile: PrimeProfile) -> bool:
     for a, b in zip_longest(nd, kd, fillvalue=0):
-        if _digit_factor_divisible(a, b, p):
+        if _digit_factor_divisible(a, b, profile):
             return True
     return False
 
@@ -101,7 +99,7 @@ def digit_product_divisible(n: int, k: int, profile: PrimeProfile) -> bool:
     of the digits of n and k in the entry-point base (k zero-padded)."""
     nd = expand_base_fp(n, profile)
     kd = expand_base_fp(k, profile)
-    return _pairs_divisible(nd, kd, profile.p)
+    return _pairs_divisible(nd, kd, profile)
 
 
 def validate_sweep(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> None:
@@ -266,17 +264,6 @@ def find_counterexample(profile: PrimeProfile) -> tuple[int, int, ConjectureVerd
 
 # Unused by the library; kept while the benchmark's cache reset clears it.
 _rows_mod_cache: dict[int, list[tuple[int, ...]]] = {}
-
-
-def check_period_mod2(m: int, n: int, k: int) -> bool:
-    """Instance check: the triangle mod 2 repeats with period 3 * 2**m in
-    the row index, for 0 <= n, k < 3 * 2**m."""
-    if m < 0:
-        raise ValueError(f"period exponent must be >= 0, got {m}")
-    period = 3 * 2 ** m
-    if not (0 <= n < period and 0 <= k < period):
-        raise ValueError(f"need 0 <= n, k < {period}, got ({n}, {k})")
-    return fibonomial_mod(n + period, k, 2) == fibonomial_mod(n, k, 2)
 
 
 def lucas_binomial_residue(n: int, k: int, p: int) -> int:

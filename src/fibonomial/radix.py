@@ -1,5 +1,6 @@
-"""Digit expansions in base p and in the entry-point base, plus the
-carry-tracking addition that drives fibonomial valuations.
+"""Digit expansions in base p and in the entry-point base, plus
+add_with_carries, the column-by-column addition that the closed-form
+valuation is tested against (perfbench/tracing.py also binds it).
 
 For a prime p whose Fibonacci entry point is z, the entry-point base has
 place values (1, z, z*p, z*p**2, ...): the units digit is below z and

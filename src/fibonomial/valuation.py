@@ -1,11 +1,10 @@
 """Entry points and p-adic valuations.
 
-The fast path here (carry-counted fibonomial valuations) is only ever
-trusted for odd primes and is cross-checked in the test suite against the
-exact big-integer oracles also defined here. For p = 2 the carry count
-gives wrong exponents (nu_2(F_6) = 3, not nu_2(F_3) + 1), so the oracle is
-the only valuation path there; whether the addition carries at all still
-decides divisibility by 2, which is all the conjecture sweep asks of it.
+The fast path, nu_p_fibotorial, reads nu_p(F_1 ... F_n) off the entry
+point in O(log n) steps for every prime, 2 included; a fibonomial valuation
+is a difference of three such sums, which for odd p is the Knuth-Wilf
+carry count in the entry-point base. The tests check it against that count
+and against the exact big-integer oracles defined here.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import fib_mod
-from .radix import add_with_carries
 
 
 class Relation(enum.Enum):
@@ -138,18 +136,35 @@ def entry_point(p: int) -> PrimeProfile:
     return PrimeProfile(p, z, nu, rel)
 
 
-def carry_valuation(m: int, n: int, profile: PrimeProfile) -> Valuation:
-    """nu_p of the fibonomial coefficient on (m+n, m), for odd p, by carries.
+def nu_p_fibotorial(n: int, profile: PrimeProfile) -> int:
+    """nu_p(F_1 ... F_n) for n >= 0, in O(log n) steps.
 
-    One unit per carry left of the radix point when m/z is added to n/z in
-    base p, plus nu_p(F_z) if a carry crosses the radix point.
+    Only the F_zi, z the entry point, are divisible by p: nu_p(F_zi) =
+    nu_p(F_z) + nu_p(i) for odd p, and nu_2(F_3i) is 1 for odd i and
+    nu_2(i) + 3 for even i (Lengyel 1995). Summed over i <= q = n // z by
+    Legendre's formula, that is q * nu_p(F_z) + nu_p(q!), plus q // 2 at 2.
     """
-    if profile.p == 2:
-        raise ValueError("carry counting requires an odd prime; use the oracle for 2")
-    report = add_with_carries(m, n, profile)
-    e = report.carries_left
-    if report.carry_across:
-        e += profile.nu_p_F_pstar
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    q = n // profile.p_star
+    total = q * profile.nu_p_F_pstar + (q // 2 if profile.p == 2 else 0)
+    while q:
+        q //= profile.p
+        total += q
+    return total
+
+
+def carry_valuation(m: int, n: int, profile: PrimeProfile) -> Valuation:
+    """nu_p of the fibonomial coefficient on (m+n, m), for every prime p.
+
+    A difference of three nu_p_fibotorial sums. For odd p it counts the
+    carries left of the radix point when m/z is added to n/z in base p,
+    plus nu_p(F_z) if a carry crosses the radix point (Knuth and Wilf).
+    """
+    if m < 0 or n < 0:
+        raise ValueError(f"operands must be >= 0, got ({m}, {n})")
+    e = (nu_p_fibotorial(m + n, profile) - nu_p_fibotorial(m, profile)
+         - nu_p_fibotorial(n, profile))
     return Valuation(e, "carry")
 
 
@@ -157,7 +172,7 @@ def fibotorial_valuations(limit: int, p: int) -> tuple[int, ...]:
     """Prefix table S with S[i] = nu_p(fibotorial(i)) for 0 <= i <= limit.
 
     Built from exact Fibonacci integers, one factor at a time; this is the
-    big-integer oracle the carry path is measured against.
+    big-integer oracle the closed form is measured against.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")

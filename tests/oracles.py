@@ -149,7 +149,7 @@ def sweep_rows_per_pair(profile, lo, hi, prefix, method="oracle", stride=0):
     digit vectors and tests the digit product with `_pairs_divisible`.
 
     The left-hand side comes from the oracle prefix table, or, with
-    method="carry" (odd p only), from `carry_valuation`'s exponent; then
+    method="carry", from `carry_valuation`'s exponent; then
     every stride-th pair in row-major order also rechecks that exponent
     against the prefix table, so the reference itself is confirmed.
 
@@ -167,7 +167,7 @@ def sweep_rows_per_pair(profile, lo, hi, prefix, method="oracle", stride=0):
         nd = expand_base_fp(n, profile)
         row_base = n * (n + 1) // 2
         for k in range(n + 1):
-            rhs = _pairs_divisible(nd, expand_base_fp(k, profile), p)
+            rhs = _pairs_divisible(nd, expand_base_fp(k, profile), profile)
             want = prefix[n] - prefix[k] - prefix[n - k]
             if method == "carry":
                 e = carry_valuation(k, n - k, profile).exponent

@@ -16,9 +16,8 @@ from itertools import accumulate
 
 import fibonomial
 import fibonomial.conjecture as conjecture
-from fibonomial.conjecture import (check_period_mod2, find_counterexample,
-                                   verify_conjecture)
-from fibonomial.core import fib, fib_mod
+from fibonomial.conjecture import find_counterexample, verify_conjecture
+from fibonomial.core import fib, fib_mod, fibonomial_mod
 from fibonomial.render import RenderSpec, render
 from fibonomial.valuation import Relation, carry_valuation, entry_point, is_prime
 
@@ -160,11 +159,14 @@ def test_acceptance_7_lemma_suite():
 
 
 def test_acceptance_8_self_similarity_and_period():
+    # The triangle mod 2 repeats with period 3 * 2**m in the row index:
+    # C(n + 3 * 2**m, k)_F = C(n, k)_F (mod 2) for n, k < 3 * 2**m.
     for m in range(5):
         period = 3 * 2 ** m
         for n in range(period):
             for k in range(period):
-                assert check_period_mod2(m, n, k), (m, n, k)
+                assert (fibonomial_mod(n + period, k, 2)
+                        == fibonomial_mod(n, k, 2)), (m, n, k)
     # Divisibility by 5 from exact valuations; the zero coefficient (k > n)
     # counts as divisible.
     s5 = [0, *accumulate(nu(x, 5) for x in fib_seq(5 ** 4))]

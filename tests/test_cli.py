@@ -180,16 +180,35 @@ def test_valuation_query(capsys):
     payload = json.loads(out)
     assert payload == {"n": 57, "k": 26, "p": 7, "method": "oracle",
                        "exponent": 2}
-    code, out, _ = run(capsys, "valuation", "10", "4", "--prime", "2", "--json")
-    assert json.loads(out)["method"] == "oracle"
+    # p = 2 takes the closed form like every other prime.
+    code, out, _ = run(capsys, "valuation", "12", "3", "--prime", "2", "--json")
+    assert json.loads(out) == {"n": 12, "k": 3, "p": 2, "method": "carry", "exponent": 3}
+
+
+def test_valuation_at_2_agrees_with_oracle(capsys, monkeypatch):
+    # One parser serves every call; building it is most of a call's cost.
+    parser = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for n in range(61):
+        for k in range(n + 1):
+            got = [run(capsys, "valuation", str(n), str(k), "--prime", "2", *flags)
+                   for flags in ([], ["--method", "oracle"])]
+            assert got[0] == got[1] and got[0][0] == 0, (n, k)
+
+
+def test_big_valuations_at_2_answer_in_a_fresh_process():
+    # The oracle's --cap refuses n > 1,000; the closed form takes O(log n).
+    done = subprocess.run(
+        [sys.executable, "-m", "fibonomial", "valuation", "1000000000000",
+         "500000000000", "--prime", "2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "19\n"
 
 
 def test_valuation_errors(capsys):
     code, _, err = run(capsys, "valuation", "3", "5", "--prime", "7")
     assert code == 2 and "zero" in err
-    code, _, err = run(capsys, "valuation", "10", "4", "--prime", "2",
-                       "--method", "carry")
-    assert code == 2
     code, _, err = run(capsys, "valuation", "10", "4", "--prime", "10")
     assert code == 2
     # Negative arguments are refused as typed, before k > n or the carry
@@ -413,6 +432,20 @@ def test_verify_counterexample_exit_code(capsys):
     assert code == 1
     assert "witness n=100 k=10" in out
     assert "agrees=False" in out
+
+
+def test_counterexample_at_a_large_entry_point_answers_in_a_fresh_process():
+    # z = 12506 for p = 100049: the digit factor C(z, 1)_F = F_z has 2,614
+    # digits, and its divisibility is read off the entry point instead.
+    done = subprocess.run(
+        [sys.executable, "-m", "fibonomial", "verify", "--prime", "100049",
+         "--counterexample"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=10)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == (
+        "p=100049 p_star=12506 relation=LESS\n"
+        "witness n=156400036 k=12506: lhs_divisible=False rhs_divisible=True "
+        "agrees=False\n")
 
 
 def test_verify_usage_errors(tmp_path, capsys):

@@ -13,13 +13,18 @@ import fibonomial.core as core
 from fibonomial.conjecture import (
     ConjectureVerdict,
     SweepRecord,
-    check_period_mod2,
     digit_product_divisible,
     find_counterexample,
     lucas_binomial_residue,
     verify_conjecture,
 )
-from fibonomial.core import fib, fib_mod, fibonomial_row_mod, iter_fibonomial_rows_mod
+from fibonomial.core import (
+    fib,
+    fib_mod,
+    fibonomial_mod,
+    fibonomial_row_mod,
+    iter_fibonomial_rows_mod,
+)
 from fibonomial.radix import expand_base_fp
 from fibonomial.valuation import Relation, entry_point, fibotorial_valuations, is_prime
 
@@ -224,17 +229,11 @@ def test_sweep_rows_matches_per_pair_loop_with_counterexamples(p):
 
 @pytest.mark.parametrize("method, stride", [("carry", 0), ("carry", 1), ("carry", 37),
                                             ("oracle", 0)])
-@pytest.mark.parametrize("p, rows", [(3, 120), (5, 120), (7, 120), (23, 120), (163, 200)])
+@pytest.mark.parametrize("p, rows", [(2, 120), (3, 120), (5, 120), (7, 120), (23, 120),
+                                     (163, 200)])
 def test_sweep_rows_matches_per_pair_loop(p, rows, method, stride):
     # The reference's oracle method reads no stride.
     assert _sweeps_agree(p, rows, method, stride) == []
-
-
-def test_sweep_rows_matches_per_pair_loop_at_2():
-    # carry_valuation's exponent is wrong at p = 2, so the reference takes
-    # its left-hand side from the oracle; the sweep's carry test must match
-    # it pair for pair.
-    assert _sweeps_agree(2, 120) == []
 
 
 def _spans_at_place_values(p):
@@ -341,7 +340,6 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
 
     monkeypatch.setattr(conjecture, "_pair_bits", recording)
     monkeypatch.setattr(core, "_weighted_rows", refused)
-    monkeypatch.setattr(conjecture, "fibonomial_mod", refused)
     monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
     assert entry_point(10007).p_star == 10008
     assert _sweeps_agree(10007, 30, method, 1) == []
@@ -462,27 +460,13 @@ def test_self_similarity_exhaustive_small_blocks():
                         assert _div5(n + i * s, k + j * s) == _div5(n, k)
 
 
-def test_period_mod2_examples():
-    assert check_period_mod2(0, 2, 1) is True
-    assert check_period_mod2(1, 0, 0) is True
-    assert check_period_mod2(2, 7, 3) is True
-
-
 def test_period_mod2_exhaustive_small():
+    # C(n + 3 * 2**m, k)_F = C(n, k)_F (mod 2) for n, k < 3 * 2**m.
     for m in (0, 1, 2, 3):
         period = 3 * 2 ** m
         for n in range(period):
             for k in range(period):
-                assert check_period_mod2(m, n, k)
-
-
-def test_period_mod2_domain_errors():
-    with pytest.raises(ValueError):
-        check_period_mod2(-1, 0, 0)
-    with pytest.raises(ValueError):
-        check_period_mod2(1, 6, 0)
-    with pytest.raises(ValueError):
-        check_period_mod2(1, 0, -1)
+                assert fibonomial_mod(n + period, k, 2) == fibonomial_mod(n, k, 2), (m, n, k)
 
 
 def test_fib_shift_mod5():

@@ -26,6 +26,7 @@ def test_benchmark_bindings_resolve(tmp_path):
         (["fibonomial", "30", "7"], 0),
         (["valuation", "57", "26", "--prime", "7"], 0),
         (["valuation", "57", "26", "--prime", "7", "--method", "oracle"], 0),
+        (["valuation", "100000", "50000", "--prime", "2"], 0),
         (["entry-point", "1000003"], 0),
         (["fib", "100", "--mod", "7"], 0),
         (["expand", "100", "--base", "Fp", "--prime", "7"], 0),

@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibonomial.valuation as valuation
 from fibonomial.core import fib, fib_mod
+from fibonomial.radix import add_with_carries
 from fibonomial.valuation import (
     ENTRY_POINT_LIMIT,
     PRIME_TEST_LIMIT,
@@ -14,6 +17,7 @@ from fibonomial.valuation import (
     fibotorial_valuations,
     is_prime,
     nu_p_fibonomial_oracle,
+    nu_p_fibotorial,
 )
 
 from oracles import (
@@ -210,9 +214,67 @@ def test_carry_valuation_examples(m, n, p, expected):
     assert val.method == "carry"
 
 
-def test_carry_valuation_rejects_p2():
+@pytest.mark.parametrize("m, n, expected", [
+    (3, 3, 2),  # C(6, 3)_F = 60; 3 + 3 carries once in the entry-point base
+    (3, 4, 2),  # C(7, 3)_F = 260
+    (2, 1, 1),  # C(3, 2)_F = F_3 = 2
+    (6, 6, 1),
+    (5, 7, 4),
+    (0, 12, 0),
+])
+def test_carry_valuation_at_2(m, n, expected):
+    # nu_2(F_6) = 3 is not nu_2(F_3) + 1, so at p = 2 the closed form is no
+    # carry count; the oracle confirms each exponent.
+    val = carry_valuation(m, n, entry_point(2))
+    assert val == valuation.Valuation(expected, "carry")
+    assert expected == nu_p_fibonomial_oracle(m + n, m, 2).exponent
     with pytest.raises(ValueError):
-        carry_valuation(3, 4, entry_point(2))
+        carry_valuation(-1, 4, entry_point(2))
+
+
+def test_fibotorial_valuation_matches_prefix_table_dense():
+    # The closed form against the big-integer oracle for every prime below
+    # 200, p = 2 and p = 5 included, at every n <= 3,000.
+    for p in primes_below(200):
+        profile = entry_point(p)
+        table = fibotorial_valuations(3000, p)
+        assert [nu_p_fibotorial(n, profile) for n in range(3001)] == list(table), p
+    with pytest.raises(ValueError):
+        nu_p_fibotorial(-1, entry_point(7))
+
+
+def test_carry_valuation_is_the_column_carry_count():
+    # For odd p the closed form counts the carries of adding k/z to
+    # (n - k)/z column by column, the units carry weighted by nu_p(F_z).
+    for p in (3, 5, 7, 11, 13, 47):
+        profile = entry_point(p)
+        for n in range(200):
+            for k in range(n + 1):
+                report = add_with_carries(k, n - k, profile)
+                want = report.carries_left + report.carry_across * profile.nu_p_F_pstar
+                assert carry_valuation(k, n - k, profile).exponent == want, (p, n, k)
+
+
+def _nu_fib(n, p):
+    # The largest e with p**e dividing F_n, n >= 1, from residues alone.
+    e = 0
+    while fib_mod(n, p ** (e + 1)) == 0:
+        e += 1
+    return e
+
+
+@given(st.sampled_from(sorted(primes_below(200))), st.integers(1, 10 ** 12), st.integers(0, 8))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fibotorial_valuation_steps_by_nu_of_f_n(p, n, j):
+    # S(n) - S(n - 1) = nu_p(F_n). A random n is rarely a multiple of the
+    # entry point z, so n is rounded down to a multiple of z * p**j when
+    # that stays >= 1, where the valuation is largest.
+    profile = entry_point(p)
+    block = profile.p_star * p ** j
+    if block <= n:
+        n -= n % block
+    step = nu_p_fibotorial(n, profile) - nu_p_fibotorial(n - 1, profile)
+    assert step == _nu_fib(n, p), (p, n)
 
 
 def test_carry_valuation_base5_is_plain_carry_count():
