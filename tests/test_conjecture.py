@@ -460,6 +460,13 @@ def test_self_similarity_exhaustive_small_blocks():
                         assert _div5(n + i * s, k + j * s) == _div5(n, k)
 
 
+def test_period_mod2_examples():
+    # C(n + 3 * 2**m, k)_F = C(n, k)_F (mod 2) at (m, n, k).
+    for m, n, k in ((0, 2, 1), (1, 0, 0), (2, 7, 3)):
+        period = 3 * 2 ** m
+        assert fibonomial_mod(n + period, k, 2) == fibonomial_mod(n, k, 2), (m, n, k)
+
+
 def test_period_mod2_exhaustive_small():
     # C(n + 3 * 2**m, k)_F = C(n, k)_F (mod 2) for n, k < 3 * 2**m.
     for m in (0, 1, 2, 3):
