@@ -201,35 +201,34 @@ def _sweep_rows(
     by place value, in one loop. The coefficient is divisible when adding k
     to n - k in the entry-point base carries (Knuth and Wilf), p = 2
     included, which is when some digit of k exceeds the matching digit of
-    n. The digit product is divisible when some digit factor C(a, b)_F is;
-    the oracle's test, prefix[b] + prefix[a - b] < prefix[a], gives that
-    bit for every digit pair once per call. Each side starts from a block
-    for k below z, from the units digit u: the carry side is 0 for k <= u
-    and 1 above, the digit product's is u's table row. Per higher digit a
-    of n, the block so far is copied once for each digit b of k, with an
-    all-ones block where b > a (carry side) or where C(a, b)_F is divisible
-    (digit product). The oracle rechecks the carry side at every pair, a
-    row at a time by _pair_bits. A row costs O(p * digits) Python steps
-    plus O(n) machine-word operations.
+    n. The digit product is divisible when some digit factor C(a, b)_F is.
+    F_1 ... F_{z-1} are prime to p, so for a < z that is when b > a; digits
+    a >= z occur only when z < p, and for them the oracle's test,
+    prefix[b] + prefix[a - b] < prefix[a], gives the bits once per call.
+    Both sides start from one block for k below z, from the units digit u:
+    0 for k <= u and 1 above. Per higher digit a of n, the block so far is
+    copied once for each digit b of k, with an all-ones block where b > a
+    (carry side) or where C(a, b)_F is divisible (digit product). The
+    oracle rechecks the carry side at every pair, a row at a time by
+    _pair_bits. A row costs O(p * digits) Python steps plus O(n)
+    machine-word operations.
     """
     p, z = profile.p, profile.p_star
-    # table[a][b], b <= a: whether p divides C(a, b)_F. Rows are read padded
-    # with ones, as b > a gives the zero coefficient, which p divides. Every
-    # digit of n < hi is below both max(z, p) and hi, which prefix covers.
-    # Rows below z are one digit, whose table row is the oracle row, so a
-    # span that ends by z builds no table.
-    table = list(_pair_bits(prefix, 0, min(max(z, p), hi))) if hi > z else []
+    # table[a - z][b], b <= a: whether p divides C(a, b)_F, for the digits
+    # z <= a < p that rows below hi reach. Rows are read padded with ones,
+    # as b > a gives the zero coefficient, which p divides.
+    table = list(_pair_bits(prefix, z, min(p, hi))) if z < min(p, hi) else []
     bad = []
     for n, oracle in zip(range(lo, hi), _pair_bits(prefix, lo, hi)):
         units, *high = expand_base_fp(n, profile) or (0,)
-        rhs = table[units].ljust(min(z, n + 1), b"\1") if table else oracle
-        lhs = bytes(units + 1).ljust(len(rhs), b"\1")
+        lhs = rhs = bytes(units + 1).ljust(min(z, n + 1), b"\1")
         for a in high:
             # b takes p values below the top digit and a + 1 at the top,
             # where the copies need only reach k = n.
+            flags = table[a - z] if a >= z else bytes(a + 1)
             ones = b"\1" * len(rhs)
             copies = min(p, n // len(rhs) + 1)
-            rhs = b"".join([ones if f else rhs for f in table[a].ljust(copies, b"\1")])
+            rhs = b"".join([ones if f else rhs for f in flags.ljust(copies, b"\1")])
             lhs = lhs * (a + 1) + ones * (copies - a - 1)
         lhs, rhs = lhs[:n + 1], rhs[:n + 1]
         if lhs != oracle:

@@ -2,6 +2,7 @@ import concurrent.futures
 import io
 import json
 import math
+import tracemalloc
 from itertools import accumulate, zip_longest
 
 import pytest
@@ -315,10 +316,12 @@ def test_digit_factor_table_from_prefix_matches_triangle_mod_p():
         profile = entry_point(p)
         classes.add(profile.relation is Relation.LESS)
         size = max(profile.p_star, p)
-        table = conjecture._pair_bits(fibotorial_valuations(size - 1, p), 0, size)
+        table = list(conjecture._pair_bits(fibotorial_valuations(size - 1, p), 0, size))
         want = [bytes(e == 0 for e in row.entries)
                 for row in iter_fibonomial_rows_mod(size, p)]
-        assert list(table) == want, p
+        assert table == want, p
+        # Rows below z are all zeros, which the sweep builds without a table.
+        assert table[:profile.p_star] == [bytes(a + 1) for a in range(profile.p_star)], p
     assert classes == {True, False}
 
 
@@ -344,6 +347,33 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
     assert entry_point(10007).p_star == 10008
     assert _sweeps_agree(10007, 30, method, 1) == []
     assert packed == [30] + [hi for _, hi in conjecture._row_chunks(30, 3)]
+
+
+def test_sweep_rows_past_entry_point_on_large_prime_builds_no_table(monkeypatch):
+    # Rows 10006-10011 of p = 10007 straddle z = 10008, past which the high
+    # digit is 1. Every digit is below z, so its digit factors are prime to
+    # p, and the only packing is that of the oracle rows: no table of ~z
+    # rows and ~z**2 / 2 bytes.
+    packed = []
+    pair_bits = conjecture._pair_bits
+
+    def recording(x, lo, hi):
+        packed.append(len(x[:hi]))
+        return pair_bits(x, lo, hi)
+
+    monkeypatch.setattr(conjecture, "_pair_bits", recording)
+    profile = entry_point(10007)
+    assert profile.p_star == 10008
+    prefix = conjecture.fibotorial_valuations(10011, 10007)
+    tracemalloc.start()
+    try:
+        got = conjecture._sweep_rows(profile, 10006, 10012, prefix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert packed == [10012]
+    assert got == sweep_rows_per_pair(profile, 10006, 10012, prefix) == []
+    assert peak < 8 * 2**20, peak
 
 
 def test_oracle_stride_catches_wrong_carry_valuation(corrupt_oracle):
@@ -526,9 +556,9 @@ def test_max_entry_point_primes():
 def test_entry_point_at_least_p_leaves_digit_factors_prime_to_p():
     # Why sweeps with z >= p find nothing. z divides p - (5/p) (Lucas;
     # Wall), so z is p or p + 1, F_1 .. F_{z-1} are prime to p, and so is
-    # every digit factor C(a, b)_F with b <= a < z. The sweep's digit-factor
-    # table is then exactly "b > a": the digit product is divisible when a
-    # digit of k exceeds that of n, which is when adding k to n - k carries,
+    # every digit factor C(a, b)_F with b <= a < z. The sweep then builds no
+    # digit-factor table: the digit product is divisible when a digit of k
+    # exceeds that of n, which is when adding k to n - k carries,
     # which by Knuth and Wilf (1989) is when p divides the coefficient.
     ft = fibotorial_seq(120)
     fibs = fib_seq(121)
