@@ -49,17 +49,17 @@ def fib_mod(n: int, m: int) -> int:
 
 
 def _fib_pair(n: int, m: int | None = None) -> tuple[int, int]:
-    # Fast doubling on (F_n, F_{n+1}), reduced mod m when one is given; the
-    # recursion anchor F_0 = 0 is an internal identity only.
-    if n == 0:
-        return 0, 1
-    a, b = _fib_pair(n >> 1, m)
-    c, d = a * (2 * b - a), a * a + b * b
-    if n & 1:
-        c, d = d, c + d
-    if m is not None:
-        c, d = c % m, d % m
-    return c, d
+    # Fast doubling on (F_n, F_{n+1}) over the bits of n from the top,
+    # reduced mod m when one is given; the start F_0 = 0 is an internal
+    # identity only.
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+        if m is not None:
+            a, b = a % m, b % m
+    return a, b
 
 
 def fibotorial(n: int) -> int:

@@ -144,9 +144,11 @@ def kummer_carries(a, b, base):
 
 
 def sweep_rows_per_pair(profile, lo, hi, prefix, method="oracle", stride=0):
-    """The conjecture sweep as a loop over single pairs of rows [lo, hi),
-    the reference for `conjecture._sweep_rows`: per pair it expands both
-    digit vectors and tests the digit product with `_pairs_divisible`.
+    """The disagreements of the conjecture over the pairs of rows [lo, hi),
+    found one pair at a time: per pair it expands both digit vectors and
+    tests the digit product with `_pairs_divisible`, independently of the
+    carry bits that `conjecture._sweep_rows` takes for both sides. For a prime
+    with z >= p it must return [].
 
     The left-hand side comes from the oracle prefix table, or, with
     method="carry", from `carry_valuation`'s exponent; then
@@ -154,8 +156,7 @@ def sweep_rows_per_pair(profile, lo, hi, prefix, method="oracle", stride=0):
     against the prefix table, so the reference itself is confirmed.
 
     Unlike the rest of this module it calls the package, but only the
-    per-pair primitives that the table-driven sweep does not use in its
-    inner loop.
+    per-pair primitives that the sweep does not use.
     """
     from fibonomial.conjecture import ConjectureVerdict, _pairs_divisible
     from fibonomial.radix import expand_base_fp

@@ -206,6 +206,51 @@ def test_big_valuations_at_2_answer_in_a_fresh_process():
     assert done.stdout == "19\n"
 
 
+HUGE, BIG = 2**1200 + 3, str(2**1200)
+EXTREME_ARGS = [
+    (["fib", str(HUGE), "--mod", "7"], fib_mod_matrix(HUGE, 7)),
+    (["fib", str(HUGE), "--mod", str(10**6 + 3)], fib_mod_matrix(HUGE, 10**6 + 3)),
+    (["fibonomial", str(HUGE), "0", "--mod", "7"], 1),
+    (["fibonomial", str(HUGE), "1", "--mod", "7"], fib_mod_matrix(HUGE, 7)),
+    # C(N, 2)_F = F_N F_{N-1} / (F_2 F_1).
+    (["fibonomial", str(HUGE), "2", "--mod", "7"],
+     fib_mod_matrix(HUGE, 7) * fib_mod_matrix(HUGE - 1, 7) % 7),
+    *((argv, None) for argv in (
+        ["fib", "0"], ["fib", "-5"], ["fib", BIG], ["fib", "5", "--mod", "0"],
+        ["fibonomial", "0", "0"], ["fibonomial", "-1", "2"], ["fibonomial", BIG, "1"],
+        ["fibonomial", "5", "2", "--mod", "-3"],
+        *([cmd, n, k, "--prime", p]
+          for cmd in ("valuation", "lucas")
+          for n, k in (("0", "0"), ("-1", "0"), ("3", "-1"), (BIG, "1"),
+                       (BIG, str(2**1199)))
+          for p in ("7", "0", "-7", BIG, "9")),
+        ["valuation", BIG, "1", "--prime", "7", "--method", "oracle"],
+        *(["expand", n, "--base", base, "--prime", p]
+          for base in ("p", "Fp") for n in ("0", "-1", BIG)
+          for p in ("7", "0", "-7", BIG, "9")),
+        *(["entry-point", p] for p in ("0", "-7", BIG, "9")))),
+]
+
+
+def test_extreme_arguments_answer_or_exit_2(capsys):
+    # Zero, negative, 2**1200 and non-prime arguments wherever they apply,
+    # and N = 2**1200 + 3 under --mod, past the default recursion limit in
+    # bits: every command answers at once or exits 2 with a message. Exit 1
+    # means a counterexample, so a crash must not reach it.
+    failures = []
+    for argv, want in EXTREME_ARGS:
+        try:
+            code, out, err = run(capsys, *argv)
+        except Exception as exc:
+            failures.append((argv, repr(exc)[:200]))
+            continue
+        if code not in (0, 2) or "Traceback" in err:
+            failures.append((argv, code, err[-200:]))
+        elif want is not None and (code, out) != (0, f"{want}\n"):
+            failures.append((argv, code, out, want))
+    assert failures == []
+
+
 def test_valuation_errors(capsys):
     code, _, err = run(capsys, "valuation", "3", "5", "--prime", "7")
     assert code == 2 and "zero" in err

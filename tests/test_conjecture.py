@@ -205,27 +205,21 @@ def test_verify_conjecture_short_sweep_starts_no_pool(monkeypatch):
 
 
 def _sweeps_agree(p, rows, method="oracle", stride=0):
-    # method and stride choose how the per-pair reference takes its
-    # left-hand side; the sweep itself has one path.
+    # The sweep passes its oracle check whole and in three spans, and the
+    # per-pair reference, which computes the digit product on its own,
+    # finds no disagreement. method and stride choose how the reference
+    # takes its left-hand side; the sweep itself has one path.
     profile = entry_point(p)
     prefix = conjecture.fibotorial_valuations(rows - 1, p)
-    want = sweep_rows_per_pair(profile, 0, rows, prefix, method, stride)
-    assert conjecture._sweep_rows(profile, 0, rows, prefix) == want
+    assert conjecture._sweep_rows(profile, 0, rows, prefix) is None
     # A floor of one pair a span gives a short sweep three spans too.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
         spans = conjecture._row_chunks(rows, 3)
     assert len(spans) == 3
-    chunked = [v for lo, hi in spans for v in conjecture._sweep_rows(profile, lo, hi, prefix)]
-    assert chunked == want
-    return want
-
-
-@pytest.mark.parametrize("p", [11, 13, 17, 29])
-def test_sweep_rows_matches_per_pair_loop_with_counterexamples(p):
-    # Primes with z < p, which verify_conjecture refuses: the disagreements
-    # must match pair for pair.
-    assert _sweeps_agree(p, 300)
+    for lo, hi in spans:
+        assert conjecture._sweep_rows(profile, lo, hi, prefix) is None
+    assert sweep_rows_per_pair(profile, 0, rows, prefix, method, stride) == []
 
 
 @pytest.mark.parametrize("method, stride", [("carry", 0), ("carry", 1), ("carry", 37),
@@ -234,7 +228,7 @@ def test_sweep_rows_matches_per_pair_loop_with_counterexamples(p):
                                      (163, 200)])
 def test_sweep_rows_matches_per_pair_loop(p, rows, method, stride):
     # The reference's oracle method reads no stride.
-    assert _sweeps_agree(p, rows, method, stride) == []
+    _sweeps_agree(p, rows, method, stride)
 
 
 def _spans_at_place_values(p):
@@ -250,22 +244,30 @@ def _spans_at_place_values(p):
                 yield place // 2 + 1, place + 1
 
 
-SWEEP_PRIMES = [2, 3, 5, 7, 11, 13, 23, 163]
+# Every prime here has z >= p; 43 and 103 have z = p + 1.
+SWEEP_PRIMES = [2, 3, 5, 7, 23, 43, 103, 163]
 
 
 @pytest.mark.parametrize("p, lo, hi", [
-    *((p, lo, hi) for p in SWEEP_PRIMES for lo, hi in _spans_at_place_values(p)),
-    *((p, lo, hi) for p in SWEEP_PRIMES for lo, hi in [(0, 1), (1, 2), (0, 2)]),
+    *((p, lo, hi) for p in [*SWEEP_PRIMES, 11, 13]
+      for lo, hi in [*_spans_at_place_values(p), (0, 1), (1, 2), (0, 2)]),
     (10007, 0, 30), (10007, 17, 30),
 ])
 def test_sweep_rows_matches_per_pair_loop_at_place_values(p, lo, hi):
-    # The row's digit-product bits are joined digit by digit, so the digit
-    # boundaries, rows 0 and 1 and a table capped by hi are where a wrong
-    # block length, copy count or cut would show.
+    # The row's bits are joined digit by digit, so the digit boundaries and
+    # rows 0 and 1 are where a wrong block length, copy count or cut would
+    # make the oracle check raise.
     profile = entry_point(p)
     prefix = conjecture.fibotorial_valuations(hi - 1, p)
-    assert (conjecture._sweep_rows(profile, lo, hi, prefix)
-            == sweep_rows_per_pair(profile, lo, hi, prefix))
+    bad = sweep_rows_per_pair(profile, lo, hi, prefix)
+    if profile.relation is Relation.LESS:
+        # z < p, which sweeps refuse: a carry makes a digit of k exceed
+        # that of n, a zero digit factor, so the digit product is divisible
+        # whenever the coefficient is, and only the converse can fail.
+        assert all(v.rhs_divisible and not v.lhs_divisible for v in bad)
+        return
+    assert conjecture._sweep_rows(profile, lo, hi, prefix) is None
+    assert bad == []
 
 
 @given(st.sampled_from(SWEEP_PRIMES), st.integers(0, 700), st.integers(1, 12))
@@ -273,8 +275,8 @@ def test_sweep_rows_matches_per_pair_loop_at_place_values(p, lo, hi):
 def test_sweep_rows_matches_per_pair_loop_sampled(p, lo, rows):
     profile = entry_point(p)
     prefix = conjecture.fibotorial_valuations(lo + rows - 1, p)
-    assert (conjecture._sweep_rows(profile, lo, lo + rows, prefix)
-            == sweep_rows_per_pair(profile, lo, lo + rows, prefix))
+    assert conjecture._sweep_rows(profile, lo, lo + rows, prefix) is None
+    assert sweep_rows_per_pair(profile, lo, lo + rows, prefix) == []
 
 
 @st.composite
@@ -308,9 +310,9 @@ def test_pair_bits_match_per_pair_comparisons(case):
 
 
 def test_digit_factor_table_from_prefix_matches_triangle_mod_p():
-    # The sweep reads "p divides C(a, b)_F" off exact valuations, where the
+    # _pair_bits reads "p divides C(a, b)_F" off exact valuations, where the
     # triangle mod p gives it by the row recurrence: both must agree on
-    # every digit pair a, b < max(z, p), in both relation classes.
+    # every pair a, b < max(z, p), in both relation classes.
     classes = set()
     for p in filter(is_prime, range(200)):
         profile = entry_point(p)
@@ -320,7 +322,7 @@ def test_digit_factor_table_from_prefix_matches_triangle_mod_p():
         want = [bytes(e == 0 for e in row.entries)
                 for row in iter_fibonomial_rows_mod(size, p)]
         assert table == want, p
-        # Rows below z are all zeros, which the sweep builds without a table.
+        # Rows below z are all zeros: the digit factors are prime to p.
         assert table[:profile.p_star] == [bytes(a + 1) for a in range(profile.p_star)], p
     assert classes == {True, False}
 
@@ -328,9 +330,9 @@ def test_digit_factor_table_from_prefix_matches_triangle_mod_p():
 @pytest.mark.parametrize("method", ["carry", "oracle"])
 def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatch):
     # z = 10008 > p = 10007: a table sized by the prime would take ~10^8
-    # cells. Rows below z are one digit each, so every call packs the prefix
-    # table once, for its oracle rows, and builds no digit-factor table; no
-    # row of the triangle mod p, and no coefficient mod p, is computed.
+    # cells. Every call packs the prefix table once, for its oracle rows,
+    # and builds no digit-factor table; no row of the triangle mod p, and
+    # no coefficient mod p, is computed.
     packed = []
     pair_bits = conjecture._pair_bits
 
@@ -345,15 +347,14 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
     monkeypatch.setattr(core, "_weighted_rows", refused)
     monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
     assert entry_point(10007).p_star == 10008
-    assert _sweeps_agree(10007, 30, method, 1) == []
+    _sweeps_agree(10007, 30, method, 1)
     assert packed == [30] + [hi for _, hi in conjecture._row_chunks(30, 3)]
 
 
 def test_sweep_rows_past_entry_point_on_large_prime_builds_no_table(monkeypatch):
     # Rows 10006-10011 of p = 10007 straddle z = 10008, past which the high
-    # digit is 1. Every digit is below z, so its digit factors are prime to
-    # p, and the only packing is that of the oracle rows: no table of ~z
-    # rows and ~z**2 / 2 bytes.
+    # digit is 1. The only packing is that of the oracle rows: no table of
+    # ~z rows and ~z**2 / 2 bytes.
     packed = []
     pair_bits = conjecture._pair_bits
 
@@ -372,7 +373,8 @@ def test_sweep_rows_past_entry_point_on_large_prime_builds_no_table(monkeypatch)
     finally:
         tracemalloc.stop()
     assert packed == [10012]
-    assert got == sweep_rows_per_pair(profile, 10006, 10012, prefix) == []
+    assert got is None
+    assert sweep_rows_per_pair(profile, 10006, 10012, prefix) == []
     assert peak < 8 * 2**20, peak
 
 
@@ -407,9 +409,9 @@ def test_sweep_rows_expands_only_its_own_rows(monkeypatch):
     monkeypatch.setattr(conjecture, "expand_base_fp", recording)
     profile = entry_point(7)
     prefix = conjecture.fibotorial_valuations(259, 7)
-    assert (conjecture._sweep_rows(profile, 200, 260, prefix)
-            == sweep_rows_per_pair(profile, 200, 260, prefix) == [])
+    assert conjecture._sweep_rows(profile, 200, 260, prefix) is None
     assert seen == list(range(200, 260))
+    assert sweep_rows_per_pair(profile, 200, 260, prefix) == []
 
 
 def test_oracle_mismatch_at_interior_k_names_pair_and_exponent():
@@ -556,10 +558,10 @@ def test_max_entry_point_primes():
 def test_entry_point_at_least_p_leaves_digit_factors_prime_to_p():
     # Why sweeps with z >= p find nothing. z divides p - (5/p) (Lucas;
     # Wall), so z is p or p + 1, F_1 .. F_{z-1} are prime to p, and so is
-    # every digit factor C(a, b)_F with b <= a < z. The sweep then builds no
-    # digit-factor table: the digit product is divisible when a digit of k
-    # exceeds that of n, which is when adding k to n - k carries,
-    # which by Knuth and Wilf (1989) is when p divides the coefficient.
+    # every digit factor C(a, b)_F with b <= a < z. The digit product is
+    # then divisible when a digit of k exceeds that of n, which is when
+    # adding k to n - k carries, which by Knuth and Wilf (1989) is when p
+    # divides the coefficient: the sweep builds that one side.
     ft = fibotorial_seq(120)
     fibs = fib_seq(121)
     swept = []

@@ -19,7 +19,7 @@ from fibonomial.core import (
     iter_fibonomial_rows_mod,
 )
 
-from oracles import fib_seq, fibotorial_seq, naive_fibonomial
+from oracles import fib_mod_matrix, fib_seq, fibotorial_seq, naive_fibonomial
 
 
 @pytest.mark.parametrize("n, expected", [
@@ -56,6 +56,13 @@ def test_fib_mod_agrees_with_exact():
     for m in (2, 3, 5, 7, 11, 1000003):
         for i, x in enumerate(xs, start=1):
             assert fib_mod(i, m) == x % m
+
+
+@pytest.mark.parametrize("m", [7, 10**6 + 3])
+def test_fib_mod_past_the_recursion_limit(m):
+    # 2**1200 + 3 has 1,201 bits, past the interpreter's default recursion
+    # limit of 1,000, so doubling must walk the bits without recursing.
+    assert fib_mod(2**1200 + 3, m) == fib_mod_matrix(2**1200 + 3, m)
 
 
 def test_fib_mod_domain_errors():
