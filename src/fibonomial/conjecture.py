@@ -102,6 +102,11 @@ def digit_product_divisible(n: int, k: int, profile: PrimeProfile) -> bool:
     return _pairs_divisible(nd, kd, profile)
 
 
+# 100,000 rows are 5 * 10**9 pairs, 25 times the pairs of 20,000 rows, which
+# a serial sweep at p = 7 checked in under 2 s: about a minute of work.
+MAX_SWEEP_ROWS = 100_000
+
+
 def validate_sweep(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> None:
     """Reject a sweep verify_conjecture would refuse, before any work or
     output."""
@@ -112,6 +117,8 @@ def validate_sweep(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> None:
             "--counterexample) for the witness")
     if rows < 0:
         raise ValueError(f"rows must be >= 0, got {rows}")
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(f"rows must be <= {MAX_SWEEP_ROWS}, got {rows}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
@@ -202,27 +209,32 @@ def _sweep_rows(
     of k exceeds the matching digit of n. As z >= p, every digit is below z
     and F_1 ... F_{z-1} are prime to p, so a digit factor C(a, b)_F is
     divisible exactly when b > a: the carry bits are the digit product's.
-    Row n is built from the entry-point digits of n by place value: a block
-    for k below z from the units digit u, 0 for k <= u and 1 above; per
-    higher digit a of n, the block so far copied a + 1 times, then all-ones
-    blocks for the digits b > a of k. The oracle rechecks every pair, a row
-    at a time by _pair_bits. A row costs O(p * digits) Python steps plus
-    O(n) machine-word operations.
+    Row n = q * z + u is built by place value from its units digit u and
+    the higher digits of n, which are those of q * z and are expanded once
+    per block of z rows: a block for k below z from u, 0 for k <= u and 1
+    above; per higher digit a of n, the block so far copied a + 1 times,
+    then all-ones blocks for the digits b > a of k. The oracle rechecks
+    every pair, a row at a time by _pair_bits. A row costs O(p * digits)
+    Python steps plus O(n) machine-word operations.
     """
     p, z = profile.p, profile.p_star
-    for n, oracle in zip(range(lo, hi), _pair_bits(prefix, lo, hi)):
-        units, *high = expand_base_fp(n, profile) or (0,)
-        bits = bytes(units + 1).ljust(min(z, n + 1), b"\1")
-        for a in high:
-            # b takes p values below the top digit and a + 1 at the top,
-            # where the copies need only reach k = n.
-            copies = min(p, n // len(bits) + 1)
-            bits = (bits * (a + 1)).ljust(copies * len(bits), b"\1")
-        if bits[:n + 1] != oracle:
-            k = next(k for k in range(n + 1) if bits[k] != oracle[k])
-            raise ArithmeticError(
-                f"carry test {bits[k] == 1} disagrees with oracle exponent "
-                f"{prefix[n] - prefix[k] - prefix[n - k]} at (n={n}, k={k}, p={p})")
+    oracles = _pair_bits(prefix, lo, hi)
+    for base in range(lo - lo % z, hi, z):
+        high = expand_base_fp(base, profile)[1:]
+        # zip draws a row number before an oracle row, so the block's last
+        # row leaves the next block's oracle row unread.
+        for n, oracle in zip(range(max(lo, base), min(hi, base + z)), oracles):
+            bits = bytes(n - base + 1).ljust(min(z, n + 1), b"\1")
+            for a in high:
+                # b takes p values below the top digit and a + 1 at the top,
+                # where the copies need only reach k = n.
+                copies = min(p, n // len(bits) + 1)
+                bits = (bits * (a + 1)).ljust(copies * len(bits), b"\1")
+            if bits[:n + 1] != oracle:
+                k = next(k for k in range(n + 1) if bits[k] != oracle[k])
+                raise ArithmeticError(
+                    f"carry test {bits[k] == 1} disagrees with oracle exponent "
+                    f"{prefix[n] - prefix[k] - prefix[n - k]} at (n={n}, k={k}, p={p})")
 
 
 def find_counterexample(profile: PrimeProfile) -> tuple[int, int, ConjectureVerdict]:

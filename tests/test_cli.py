@@ -185,10 +185,7 @@ def test_valuation_query(capsys):
     assert json.loads(out) == {"n": 12, "k": 3, "p": 2, "method": "carry", "exponent": 3}
 
 
-def test_valuation_at_2_agrees_with_oracle(capsys, monkeypatch):
-    # One parser serves every call; building it is most of a call's cost.
-    parser = build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_valuation_at_2_agrees_with_oracle(capsys):
     for n in range(61):
         for k in range(n + 1):
             got = [run(capsys, "valuation", str(n), str(k), "--prime", "2", *flags)
@@ -228,7 +225,8 @@ EXTREME_ARGS = [
         *(["expand", n, "--base", base, "--prime", p]
           for base in ("p", "Fp") for n in ("0", "-1", BIG)
           for p in ("7", "0", "-7", BIG, "9")),
-        *(["entry-point", p] for p in ("0", "-7", BIG, "9")))),
+        *(["entry-point", p] for p in ("0", "-7", BIG, "9")),
+        ["verify", "--prime", "7", "--rows", BIG])),
 ]
 
 
@@ -381,6 +379,58 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys)[0] == 2
 
 
+# Per subcommand, arguments it accepts; the first integer among them is the
+# one made non-integer below.
+ACCEPTED = {
+    "fib": ["5"],
+    "fibonomial": ["5", "2"],
+    "entry-point": ["7"],
+    "valuation": ["5", "2", "--prime", "7"],
+    "expand": ["5", "--base", "Fp", "--prime", "7"],
+    "lucas": ["5", "2", "--prime", "7"],
+    "triangle": ["--rows", "3"],
+    "verify": ["--prime", "7", "--rows", "3"],
+}
+
+
+def _non_integer(args):
+    i = next(i for i, a in enumerate(args) if a.isdigit())
+    return [*args[:i], "x", *args[i + 1:]]
+
+
+PARSE_FAILURES = [
+    ["-h"], [], ["frobnicate"],
+    *([command, *args]
+      for command, accepted in ACCEPTED.items()
+      for args in (["-h"], [], _non_integer(accepted), [*accepted, "extra"])),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_FAILURES, ids=" ".join)
+def test_cli_parse_output_matches_full_parser(argv, capsys):
+    # main declares only the named subcommand's parser, yet every help
+    # text, usage line, error and exit code is the full parser's.
+    got = run(capsys, *argv)
+    with pytest.raises(SystemExit) as stop:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert got == (stop.value.code, want.out, want.err)
+
+
+def test_cli_declares_only_the_named_subcommand(capsys, monkeypatch):
+    declared = []
+
+    def recording(command=None):
+        declared.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert run(capsys, "fib", "5") == (0, "5\n", "")
+    assert declared == ["fib"]
+    subparsers = build_parser("fib")._subparsers._group_actions[0]
+    assert list(subparsers.choices) == ["fib"]
+
+
 def test_verify_clean_sweep(tmp_path, capsys):
     out_path = tmp_path / "sweep.jsonl"
     code, out, _ = run(capsys, "verify", "--prime", "7", "--rows", "60",
@@ -498,6 +548,12 @@ def test_verify_usage_errors(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "--prime", "7")
     assert code == 2 and "--rows" in err
+    # More rows than the bound are refused before the report is opened.
+    out = tmp_path / "sweep.jsonl"
+    code, _, err = run(capsys, "verify", "--prime", "7", "--rows", "100001",
+                       "--out", str(out))
+    assert (code, err) == (2, "error: rows must be <= 100000, got 100001\n")
+    assert not out.exists()
     code, _, err = run(capsys, "verify", "--prime", "7", "--counterexample")
     assert code == 2  # relation is not LESS, no witness construction
     # --oracle-stride is retired: every pair is checked against the oracle.

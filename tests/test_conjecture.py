@@ -386,20 +386,22 @@ def test_oracle_stride_catches_wrong_carry_valuation(corrupt_oracle):
 
 
 def test_oracle_stride_catches_wrong_carry_test(monkeypatch):
-    # Give 9 = (1 1) the digits of 8, (0 1): k = 1's units digit then
-    # exceeds n's, so the carry test reports a carry in 1 + 8, which has
-    # none.
+    # Give the block of rows 16 ... 23, whose high digits are those of
+    # 16 = (0 2), the digits of 8, (0 1): k = 16's top digit 2 then exceeds
+    # the 1 that row 16 is given, so the carry test reports a carry in
+    # 0 + 16, which has none.
     def wrong_digits(n, profile):
-        return (0, 1) if n == 9 else expand_base_fp(n, profile)
+        return (0, 1) if n == 16 else expand_base_fp(n, profile)
 
     monkeypatch.setattr(conjecture, "expand_base_fp", wrong_digits)
-    with pytest.raises(ArithmeticError, match=r"disagrees with oracle .* \(n=9, k=1, p=7\)"):
+    with pytest.raises(ArithmeticError, match=r"disagrees with oracle .* \(n=16, k=16, p=7\)"):
         verify_conjecture(entry_point(7), 40)
 
 
 def test_sweep_rows_expands_only_its_own_rows(monkeypatch):
-    # Each row is built from the digits of its own n, so a pooled worker
-    # whose span starts high does no digit work for the rows below it.
+    # Each block of z = 8 rows is built from the digits of its own first
+    # row, so a pooled worker whose span starts high does no digit work for
+    # the rows below it.
     seen = []
 
     def recording(n, profile):
@@ -410,7 +412,7 @@ def test_sweep_rows_expands_only_its_own_rows(monkeypatch):
     profile = entry_point(7)
     prefix = conjecture.fibotorial_valuations(259, 7)
     assert conjecture._sweep_rows(profile, 200, 260, prefix) is None
-    assert seen == list(range(200, 260))
+    assert seen == list(range(200, 260, 8))
     assert sweep_rows_per_pair(profile, 200, 260, prefix) == []
 
 
