@@ -11,26 +11,47 @@ usage or domain errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
+from importlib import import_module
 from typing import IO, Callable, Iterator
 
-from .conjecture import (
-    MIN_SPAN_PAIRS,
-    find_counterexample,
-    lucas_binomial_residue,
-    validate_sweep,
-    verify_conjecture,
-)
-from .core import fib, fib_mod, fibonomial, fibonomial_mod
-from .radix import expand_base_fp, expand_base_p
-from .render import FORMATS, KINDS, RenderSpec, render
-from .valuation import carry_valuation, entry_point, is_prime, nu_p_fibonomial_oracle
+
+def _lazy(module: str, name: str) -> Callable:
+    """A stand-in that imports name from the package's module on its first
+    call and binds it here, unless name was rebound meanwhile: handlers look
+    these names up at call time, so callers may wrap them."""
+    def stand_in(*args, **kwargs):
+        real = getattr(import_module(f"{__package__}.{module}"), name)
+        if globals()[name] is stand_in:
+            globals()[name] = real
+        return real(*args, **kwargs)
+    return stand_in
+
+
+fib = _lazy("core", "fib")
+fib_mod = _lazy("core", "fib_mod")
+fibonomial = _lazy("core", "fibonomial")
+fibonomial_mod = _lazy("core", "fibonomial_mod")
+carry_valuation = _lazy("valuation", "carry_valuation")
+entry_point = _lazy("valuation", "entry_point")
+is_prime = _lazy("valuation", "is_prime")
+nu_p_fibonomial_oracle = _lazy("valuation", "nu_p_fibonomial_oracle")
+expand_base_fp = _lazy("radix", "expand_base_fp")
+expand_base_p = _lazy("radix", "expand_base_p")
+lucas_binomial_residue = _lazy("radix", "lucas_binomial_residue")
+find_counterexample = _lazy("conjecture", "find_counterexample")
+validate_sweep = _lazy("conjecture", "validate_sweep")
+verify_conjecture = _lazy("conjecture", "verify_conjecture")
+RenderSpec = _lazy("render", "RenderSpec")
+render = _lazy("render", "render")
 
 SWEEP_DIR_ENV = "FIBONOMIAL_SWEEP_DIR"
 DEFAULT_EXACT_CAP = 1000
+# fibonomial_mod takes about 1.4 us per Fibonacci ratio at a word-sized
+# modulus, so a window of this many ratios answers in about a second.
+MAX_MOD_WINDOW = 700_000
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -39,6 +60,8 @@ EXIT_USAGE = 2
 
 def _emit(args: argparse.Namespace, value, payload: dict) -> None:
     if getattr(args, "json", False):
+        import json
+
         print(json.dumps(payload))
     else:
         print(value)
@@ -109,6 +132,11 @@ def _check_nk(args: argparse.Namespace) -> None:
 def _cmd_fibonomial(args: argparse.Namespace) -> int:
     _check_nk(args)
     if args.mod is not None:
+        j = min(args.k, args.n - args.k)
+        if j > MAX_MOD_WINDOW:
+            raise ValueError(
+                f"fibonomial coefficient mod m at j=min(k, n-k)={j} exceeds the "
+                f"window bound {MAX_MOD_WINDOW}")
         value = fibonomial_mod(args.n, args.k, args.mod)
     else:
         _check_cap(args.n, args.cap, "exact fibonomial coefficient")
@@ -266,6 +294,8 @@ def _args_lucas(p: argparse.ArgumentParser) -> None:
 
 
 def _args_triangle(p: argparse.ArgumentParser) -> None:
+    from .render import FORMATS, KINDS
+
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--kind", choices=KINDS, default="fibonomial")
     p.add_argument("--mod", type=int, default=None)
@@ -275,6 +305,8 @@ def _args_triangle(p: argparse.ArgumentParser) -> None:
 
 
 def _args_verify(p: argparse.ArgumentParser) -> None:
+    from .conjecture import MIN_SPAN_PAIRS
+
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--out", default=None,

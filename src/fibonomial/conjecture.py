@@ -6,8 +6,6 @@ the product of the digitwise fibonomial coefficients of n and k expanded
 in the entry-point base. Sweeps build the carry test, which for these
 primes is both sides, row by row; for primes with z < p the biconditional
 provably fails and a constructive witness is produced instead.
-
-Also here: the classical digit-product residue for ordinary binomials.
 """
 
 from __future__ import annotations
@@ -20,15 +18,12 @@ from itertools import repeat, zip_longest
 from math import isqrt
 from typing import IO, Iterator, Sequence
 
-from .core import binomial
-from .radix import expand_base_fp, expand_base_p
-from .valuation import (
-    PrimeProfile,
-    Relation,
-    carry_valuation,
-    fibotorial_valuations,
-    is_prime,
-)
+from . import radix
+from .radix import expand_base_fp
+from .valuation import PrimeProfile, Relation, carry_valuation, fibotorial_valuations
+
+# Re-exported: perfbench/tracing.py wraps it under this module's name.
+lucas_binomial_residue = radix.lucas_binomial_residue
 
 
 @dataclass(frozen=True)
@@ -257,18 +252,3 @@ def find_counterexample(profile: PrimeProfile) -> tuple[int, int, ConjectureVerd
 
 # Unused by the library; kept while the benchmark's cache reset clears it.
 _rows_mod_cache: dict[int, list[tuple[int, ...]]] = {}
-
-
-def lucas_binomial_residue(n: int, k: int, p: int) -> int:
-    """Ordinary binomial coefficient mod p as the product of digitwise
-    binomials in base p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 0 or k < 0:
-        raise ValueError(f"arguments must be >= 0, got ({n}, {k})")
-    nd = expand_base_p(n, p)
-    kd = expand_base_p(k, p)
-    out = 1
-    for a, b in zip_longest(nd, kd, fillvalue=0):
-        out = out * binomial(a, b) % p
-    return out

@@ -11,15 +11,13 @@ fast paths elsewhere in the package are validated against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from decimal import Decimal
 
 
-@dataclass(frozen=True)
-class TriangleRow:
+class TriangleRow(NamedTuple):
     """One row of a coefficient triangle, optionally reduced mod `modulus`.
 
     Residues are ints. Exact entries (modulus None) are integral Decimals,

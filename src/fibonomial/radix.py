@@ -5,19 +5,20 @@ valuation is tested against (perfbench/tracing.py also binds it).
 For a prime p whose Fibonacci entry point is z, the entry-point base has
 place values (1, z, z*p, z*p**2, ...): the units digit is below z and
 every later digit is below p.
+
+Also here: the classical digit-product residue for ordinary binomials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import zip_longest
+from math import comb
+from typing import NamedTuple
 
-if TYPE_CHECKING:
-    from .valuation import PrimeProfile
+from .valuation import PrimeProfile, is_prime
 
 
-@dataclass(frozen=True)
-class CarryReport:
+class CarryReport(NamedTuple):
     """Outcome of adding a/z and b/z positionally in base p.
 
     carries_left counts the carries among integer-part columns (left of the
@@ -45,7 +46,7 @@ def expand_base_p(n: int, p: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def expand_base_fp(n: int, profile: "PrimeProfile") -> tuple[int, ...]:
+def expand_base_fp(n: int, profile: PrimeProfile) -> tuple[int, ...]:
     """Little-endian digits of n in the entry-point base of profile.
 
     The units digit is n mod z (z = profile.p_star); the remaining digits
@@ -59,7 +60,7 @@ def expand_base_fp(n: int, profile: "PrimeProfile") -> tuple[int, ...]:
     return (units, *rest) if (rest or units) else ()
 
 
-def add_with_carries(a: int, b: int, profile: "PrimeProfile") -> CarryReport:
+def add_with_carries(a: int, b: int, profile: PrimeProfile) -> CarryReport:
     """Add a/z to b/z in base p and report the carries, z = profile.p_star.
 
     The fractional parts a mod z and b mod z produce a carry into the units
@@ -92,3 +93,16 @@ def add_with_carries(a: int, b: int, profile: "PrimeProfile") -> CarryReport:
         else:
             carry = 0
     return CarryReport(carries, across, tuple(sums))
+
+
+def lucas_binomial_residue(n: int, k: int, p: int) -> int:
+    """Ordinary binomial coefficient mod p as the product of digitwise
+    binomials in base p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if n < 0 or k < 0:
+        raise ValueError(f"arguments must be >= 0, got ({n}, {k})")
+    out = 1
+    for a, b in zip_longest(expand_base_p(n, p), expand_base_p(k, p), fillvalue=0):
+        out = out * comb(a, b) % p
+    return out

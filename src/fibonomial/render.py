@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     TriangleRow,
@@ -32,8 +32,7 @@ _VIRIDIS = (
 _SVG_CELL = 10
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(NamedTuple):
     """What to draw: row count, triangle kind, optional modulus, format."""
 
     rows: int

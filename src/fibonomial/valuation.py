@@ -10,8 +10,8 @@ and against the exact big-integer oracles defined here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import fib_mod
 
@@ -24,8 +24,7 @@ class Relation(enum.Enum):
     GREATER = "GREATER"
 
 
-@dataclass(frozen=True)
-class PrimeProfile:
+class PrimeProfile(NamedTuple):
     """A prime p bundled with its Fibonacci entry point data.
 
     p_star is the least index z with p | F_z; nu_p_F_pstar is nu_p(F_z).
@@ -45,8 +44,7 @@ class PrimeProfile:
         }
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """A p-adic exponent together with the path that produced it."""
 
     exponent: int

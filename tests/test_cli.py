@@ -78,6 +78,22 @@ def test_exact_cap_is_enforced_and_adjustable(capsys):
     assert code == 0
 
 
+def test_coefficient_mod_m_window_is_bounded(capsys, monkeypatch):
+    # A window of j = min(k, n - k) ratios above the bound is refused before
+    # any of them is taken, naming j and the bound; j at the bound answers.
+    monkeypatch.setattr(cli, "MAX_MOD_WINDOW", 5)
+    for k in (6, 14):
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "fibonomial_mod", None)
+            code, out, err = run(capsys, "fibonomial", "20", str(k), "--mod", "7")
+        assert (code, out) == (2, "") and err == (
+            "error: fibonomial coefficient mod m at j=min(k, n-k)=6 exceeds "
+            "the window bound 5\n")
+    for k in (5, 15, 21):
+        code, out, _ = run(capsys, "fibonomial", "20", str(k), "--mod", "7")
+        assert (code, out) == (0, f"{naive_fibonomial(20, k) % 7}\n")
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_fibonomial_mod_band_matches_exact(data):
@@ -216,6 +232,7 @@ EXTREME_ARGS = [
         ["fib", "0"], ["fib", "-5"], ["fib", BIG], ["fib", "5", "--mod", "0"],
         ["fibonomial", "0", "0"], ["fibonomial", "-1", "2"], ["fibonomial", BIG, "1"],
         ["fibonomial", "5", "2", "--mod", "-3"],
+        ["fibonomial", "2000000000000", "1000000000000", "--mod", "7"],
         *([cmd, n, k, "--prime", p]
           for cmd in ("valuation", "lucas")
           for n, k in (("0", "0"), ("-1", "0"), ("3", "-1"), (BIG, "1"),
@@ -372,6 +389,52 @@ def test_triangle_render_failure_leaves_out_as_it_was(tmp_path, capsys, monkeypa
         assert code == 2 and out_text == "" and "render failed" in err
     assert list(tmp_path.iterdir()) == [earlier]
     assert earlier.read_bytes() == b"an earlier triangle\n"
+
+
+# Each library name cli binds lazily, and a command whose handler calls it.
+LAZY_NAMES = {
+    "fib": ["fib", "10"],
+    "fib_mod": ["fib", "10", "--mod", "7"],
+    "fibonomial": ["fibonomial", "6", "3"],
+    "fibonomial_mod": ["fibonomial", "6", "3", "--mod", "7"],
+    "carry_valuation": ["valuation", "57", "26", "--prime", "7"],
+    "entry_point": ["entry-point", "7"],
+    "is_prime": ["expand", "100", "--base", "p", "--prime", "7"],
+    "nu_p_fibonomial_oracle": ["valuation", "57", "26", "--prime", "7", "--method", "oracle"],
+    "expand_base_fp": ["expand", "100", "--base", "Fp", "--prime", "7"],
+    "expand_base_p": ["expand", "100", "--base", "p", "--prime", "7"],
+    "lucas_binomial_residue": ["lucas", "10", "3", "--prime", "7"],
+    "find_counterexample": ["verify", "--prime", "11", "--counterexample"],
+    "validate_sweep": ["verify", "--prime", "7", "--rows", "8"],
+    "verify_conjecture": ["verify", "--prime", "7", "--rows", "8"],
+    "RenderSpec": ["triangle", "--rows", "3"],
+    "render": ["triangle", "--rows", "3"],
+}
+
+
+def test_lazy_names_are_listed():
+    # Every cli attribute that is a stand-in, or the library object a
+    # stand-in has resolved to, has a case above.
+    def lazy(value):
+        home = getattr(value, "__module__", None) or ""
+        return (getattr(value, "__qualname__", "") == "_lazy.<locals>.stand_in"
+                or home.startswith("fibonomial.") and home != "fibonomial.cli")
+
+    assert {name for name, value in vars(cli).items() if lazy(value)} == set(LAZY_NAMES)
+
+
+@pytest.mark.parametrize("name", list(LAZY_NAMES))
+def test_lazy_names_are_looked_up_at_call_time(name, tmp_path, capsys, monkeypatch):
+    # perfbench's tracing and fault injection wrap these names on cli, so a
+    # handler must find them there when it runs, not when cli was imported.
+    def recorder(*args, **kwargs):
+        raise ValueError(f"{name} recorded")
+
+    monkeypatch.setattr(cli, name, recorder)
+    argv = LAZY_NAMES[name]
+    if argv[0] == "verify" and "--rows" in argv:
+        argv = [*argv, "--out", str(tmp_path / "sweep.jsonl")]
+    assert run(capsys, *argv) == (2, "", f"error: {name} recorded\n")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -578,6 +641,33 @@ def test_cli_import_leaves_process_pool_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
     assert done.stdout.strip() == "[False, False]"
+
+
+# Per query command, the package modules it loads besides cli.
+QUERY_MODULES = {
+    "fib 10 --mod 7": {"core"},
+    "fibonomial 100 7 --mod 10": {"core"},
+    "fibonomial 30 7": {"core"},
+    "entry-point 1000003": {"core", "valuation"},
+    "valuation 57 26 --prime 7": {"core", "valuation"},
+    "expand 100 --base Fp --prime 7": {"core", "radix", "valuation"},
+    "lucas 10 3 --prime 7": {"core", "radix", "valuation"},
+}
+
+
+@pytest.mark.parametrize("command", list(QUERY_MODULES))
+def test_query_loads_only_the_modules_it_uses(command):
+    # Each query runs in a fresh process, so what it imports is most of its
+    # time: no sweep or render module, and none of dataclasses (with
+    # inspect), json (only for --json) or decimal (only for exact rows).
+    code = ("import sys; from fibonomial.cli import main; "
+            f"code = main({command.split()!r}); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('fibonomial.') "
+            "or m in ('dataclasses', 'json', 'decimal')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
+    loaded = sorted(f"fibonomial.{m}" for m in {"cli", *QUERY_MODULES[command]})
+    assert done.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 def test_short_pooled_sweep_leaves_process_pool_unloaded(tmp_path):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fibonomial
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -13,6 +15,52 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_all_names_resolve():
     # A name left in __all__ after its removal breaks `from fibonomial import *`.
     assert [name for name in fibonomial.__all__ if not hasattr(fibonomial, name)] == []
+
+
+def test_star_import_and_dir_list_every_public_name():
+    # Public names resolve on first use. In a fresh interpreter, with the
+    # render module imported first (it would otherwise shadow the function
+    # of its name on the package), `import *` binds every name in __all__
+    # and dir() lists them all.
+    code = ("import json, sys, fibonomial, fibonomial.render; "
+            "listed = dir(fibonomial); ns = {}; exec('from fibonomial import *', ns); "
+            "print(json.dumps([fibonomial.__all__, listed, sorted(set(ns) - {'__builtins__'}), "
+            "ns['render'] is sys.modules['fibonomial.render'].render]))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          timeout=60, check=True)
+    names, listed, bound, render_is_function = json.loads(done.stdout)
+    assert set(names) <= set(listed) and bound == sorted(names) and render_is_function
+
+
+VALUE_REPRS = [
+    (lambda: fibonomial.TriangleRow(2, (1, 1, 1), 5),
+     "TriangleRow(n=2, entries=(1, 1, 1), modulus=5)"),
+    (lambda: fibonomial.PrimeProfile(7, 8, 1, fibonomial.Relation.GREATER),
+     "PrimeProfile(p=7, p_star=8, nu_p_F_pstar=1, relation=<Relation.GREATER: 'GREATER'>)"),
+    (lambda: fibonomial.carry_valuation(26, 31, fibonomial.entry_point(7)),
+     "Valuation(exponent=2, method='carry')"),
+    (lambda: fibonomial.add_with_carries(5, 3, fibonomial.entry_point(7)),
+     "CarryReport(carries_left=0, carry_across=True, digit_sums=(1,))"),
+    (lambda: fibonomial.RenderSpec(rows=8, modulus=5),
+     "RenderSpec(rows=8, kind='fibonomial', modulus=5, format='ascii')"),
+]
+
+
+@pytest.mark.parametrize("make, text", VALUE_REPRS,
+                         ids=[text.partition("(")[0] for _, text in VALUE_REPRS])
+def test_value_types_compare_hash_and_read_as_before(make, text):
+    # Equal values compare and hash equal, no field can be set, and the repr
+    # text is unchanged.
+    value, twin = make(), make()
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert repr(value) == text
+    for field in (text.partition("(")[2].partition("=")[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+    if isinstance(value, fibonomial.PrimeProfile):
+        assert value == fibonomial.entry_point(7) and value.to_json() == {"p": 7, "p_star": 8, "nu_p_F_pstar": 1,
+                                   "relation": "GREATER"}
 
 
 def test_benchmark_bindings_resolve(tmp_path):
