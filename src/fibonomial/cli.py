@@ -49,8 +49,10 @@ render = _lazy("render", "render")
 
 SWEEP_DIR_ENV = "FIBONOMIAL_SWEEP_DIR"
 DEFAULT_EXACT_CAP = 1000
-# fibonomial_mod takes about 1.4 us per Fibonacci ratio at a word-sized
-# modulus, so a window of this many ratios answers in about a second.
+# fibonomial_mod takes about 1.4 us per Fibonacci ratio at a modulus of one
+# 30-bit word, so a window of this many ratios answers in about a second. A
+# ratio costs about w + w*w/64 times that at w words (measured from 2 to
+# 13,288 bits on a 2-vCPU Xeon VM), and the bound is divided by that weight.
 MAX_MOD_WINDOW = 700_000
 
 EXIT_OK = 0
@@ -133,10 +135,12 @@ def _cmd_fibonomial(args: argparse.Namespace) -> int:
     _check_nk(args)
     if args.mod is not None:
         j = min(args.k, args.n - args.k)
-        if j > MAX_MOD_WINDOW:
+        words = max((args.mod.bit_length() + 29) // 30, 1)
+        bound = MAX_MOD_WINDOW // (words + words * words // 64)
+        if j > bound:
             raise ValueError(
                 f"fibonomial coefficient mod m at j=min(k, n-k)={j} exceeds the "
-                f"window bound {MAX_MOD_WINDOW}")
+                f"window bound {bound}")
         value = fibonomial_mod(args.n, args.k, args.mod)
     else:
         _check_cap(args.n, args.cap, "exact fibonomial coefficient")
@@ -315,7 +319,7 @@ def _args_verify(p: argparse.ArgumentParser) -> None:
                    help="at most this many worker processes, never more "
                         "than the rows; each sweeps one contiguous span of "
                         "rows. A sweep of fewer than "
-                        f"{2 * MIN_SPAN_PAIRS:,} pairs (6,000 rows) runs in "
+                        f"{2 * MIN_SPAN_PAIRS:,} pairs (22,000 rows) runs in "
                         "process (default: 1, in process)")
     p.add_argument("--counterexample", action="store_true",
                    help="construct the witness for primes with entry point "

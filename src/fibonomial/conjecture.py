@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat, zip_longest
 from math import isqrt
-from typing import IO, Iterator, Sequence
+from typing import IO
 
 from . import radix
 from .radix import expand_base_fp
@@ -147,13 +147,13 @@ def verify_conjecture(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> Swe
     return SweepRecord(profile.p, rows, (), time.perf_counter() - start)
 
 
-# Fresh `verify --jobs 2` first beat `--jobs 1` at both p = 7 and p = 163 at
-# 6,000 rows, R(R + 1)/4 pairs a worker (BENCH_pool.json). A fresh process
-# also imports the pool machinery; a long-lived caller that already has it
-# would gain from two workers from about 3,000 rows, but gets none below
-# 6,000. Only two workers were measured, so the floor decides whether a
-# pool starts, not its size.
-MIN_SPAN_PAIRS = 6000 * 6001 // 4
+# Fresh `verify --jobs 2` first beat `--jobs 1` at all of p = 7, 163, 10007
+# and 20023 at 22,000 rows, R(R + 1)/4 pairs a worker (BENCH_pool.json).
+# A pair is cheaper where the oracle's fields are narrower, so p = 7 already
+# won from 8,000 rows while p = 20023 still lost at 20,000: one pair count
+# fits no prime exactly. Only two workers were measured, so the floor
+# decides whether a pool starts, not its size.
+MIN_SPAN_PAIRS = 22000 * 22001 // 4
 
 
 def _row_chunks(rows: int, jobs: int) -> list[tuple[int, int]]:
@@ -169,67 +169,67 @@ def _row_chunks(rows: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(ends, ends[1:]) if lo < hi]
 
 
-def _pair_bits(x: Sequence[int], lo: int, hi: int) -> Iterator[bytes]:
-    """Per row n in [lo, hi), the n + 1 bytes x[k] + x[n - k] < x[n]. x[:hi]
-    is packed once into w-byte fields, forwards and reversed, so the forward
-    int's low n + 1 fields plus the reversed one shifted down hi - 1 - n
-    fields hold every pair sum. Bit b of a field lies above twice the largest
-    value, so (2**b + x[n] - 1) - sum keeps it exactly where sum < x[n], and
-    no field borrows."""
-    b = (2 * max(x[:hi])).bit_length()
-    w, guard = b // 8 + 1, 1 << b
-    chunks = [v.to_bytes(w, "little") for v in x[:hi]]
-    fwd, rev = (int.from_bytes(b"".join(c), "little") for c in (chunks, chunks[::-1]))
-    all_ones = int.from_bytes((1).to_bytes(w, "little") * hi, "little")
-    for n in range(lo, hi):
-        size, shift = w * (n + 1), 8 * w * (hi - 1 - n)
-        ones = all_ones >> shift
-        pair = (fwd & ((1 << 8 * size) - 1)) + (rev >> shift)
-        held = (guard + x[n] - 1) * ones - pair
-        yield (held >> b & ones).to_bytes(size, "little")[::w]
-
-
-def _sweep_rows(
-    profile: PrimeProfile,
-    lo: int,
-    hi: int,
-    prefix: tuple[int, ...],
-) -> None:
+def _sweep_rows(profile: PrimeProfile, lo: int, hi: int,
+                prefix: tuple[int, ...]) -> None:
     """Check the carry test against the oracle at every pair of rows [lo,
     hi) of a prime whose entry point z is at least p; raise ArithmeticError
     at the first pair where they disagree.
 
     The coefficient is divisible when adding k to n - k in the entry-point
-    base carries (Knuth and Wilf), p = 2 included, which is when some digit
-    of k exceeds the matching digit of n. As z >= p, every digit is below z
-    and F_1 ... F_{z-1} are prime to p, so a digit factor C(a, b)_F is
-    divisible exactly when b > a: the carry bits are the digit product's.
-    Row n = q * z + u is built by place value from its units digit u and
-    the higher digits of n, which are those of q * z and are expanded once
-    per block of z rows: a block for k below z from u, 0 for k <= u and 1
-    above; per higher digit a of n, the block so far copied a + 1 times,
-    then all-ones blocks for the digits b > a of k. The oracle rechecks
-    every pair, a row at a time by _pair_bits. A row costs O(p * digits)
-    Python steps plus O(n) machine-word operations.
+    base carries (Knuth and Wilf), p = 2 included: when some digit of k
+    exceeds the matching digit of n. As z >= p, F_1 ... F_{z-1} are prime to
+    p, so a digit factor C(a, b)_F is divisible exactly when b > a: the
+    carry bits are the digit product's. Each side of row n is an integer
+    with a (b + 1)-bit field per k; b >= 1 is the bit length of twice the
+    largest of prefix[:hi], which is packed once forwards and reversed.
+    Oracle: (2**(b-1) + prefix[n] - 1) * ones - rev, once per distinct row
+    total, shifted, plus 2**(b-1) * ones - fwd is 2**b + prefix[n] - 1 -
+    prefix[k] - prefix[n - k] in field k: bit b is set where p divides, and
+    no field borrows. Carry side: row n = q * z + u carries nowhere at k =
+    j * z + t with t <= u and j's base-p digits at or below q's. An odometer
+    over q's digits keeps those j in one integer, a shift and an add per
+    block; a row is one shift and subtraction from the last: a few
+    operations on (n + z)(b + 1)-bit integers and O(1) Python steps.
     """
     p, z = profile.p, profile.p_star
-    oracles = _pair_bits(prefix, lo, hi)
+    if lo >= hi:
+        return
+    x = prefix[:hi]
+    b = (2 * max(x) | 1).bit_length()
+    f, half = b + 1, 1 << b - 1
+    cell = {v: format(v, f"0{f}b") for v in set(x)}
+    rev, fwd = (int("".join(map(cell.get, y)), 2) for y in (x, reversed(x)))
+    ones = ((1 << f * hi) - 1) // ((1 << f) - 1)
+    guards, low = ones << b, half * ones - fwd
+    # levels[i]: blocks j with digits 0 below place i, at most q's from i up.
+    digits = [*expand_base_fp(lo - lo % z, profile)[1:], *[0] * hi.bit_length()]
+    levels = [1 << b]
+    for i in reversed(range(len(digits))):
+        levels.insert(0, sum(levels[0] << f * z * p**i * t for t in range(digits[i] + 1)))
+    mask, total = (1 << f * (lo - lo % z)) - 1, None
     for base in range(lo - lo % z, hi, z):
-        high = expand_base_fp(base, profile)[1:]
-        # zip draws a row number before an oracle row, so the block's last
-        # row leaves the next block's oracle row unread.
-        for n, oracle in zip(range(max(lo, base), min(hi, base + z)), oracles):
-            bits = bytes(n - base + 1).ljust(min(z, n + 1), b"\1")
-            for a in high:
-                # b takes p values below the top digit and a + 1 at the top,
-                # where the copies need only reach k = n.
-                copies = min(p, n // len(bits) + 1)
-                bits = (bits * (a + 1)).ljust(copies * len(bits), b"\1")
-            if bits[:n + 1] != oracle:
-                k = next(k for k in range(n + 1) if bits[k] != oracle[k])
+        below, mask = mask, (1 << f * (base + z)) - 1
+        nj, row, part = levels[0] & below, guards & below, low & mask
+        if lo > base:
+            row -= ((nj << f * (lo - base)) - nj) & guards
+        for n in range(max(lo, base), min(hi, base + z)):
+            if prefix[n] != total:
+                total = prefix[n]
+                top = (half + total - 1) * ones - rev
+            held = ((top >> f * (hi - 1 - n)) + part) & guards
+            row -= nj << f * (n - base)
+            if held != row:
+                diff = held ^ row
+                k = ((diff & -diff).bit_length() - 1) // f
                 raise ArithmeticError(
-                    f"carry test {bits[k] == 1} disagrees with oracle exponent "
-                    f"{prefix[n] - prefix[k] - prefix[n - k]} at (n={n}, k={k}, p={p})")
+                    f"carry test {bool(row >> f * k + b & 1)} disagrees with oracle "
+                    f"exponent {prefix[n] - prefix[k] - prefix[n - k]} at (n={n}, k={k}, p={p})")
+        i = 0
+        while digits[i] == p - 1:
+            digits[i], i = 0, i + 1
+        digits[i] += 1
+        levels[i] += levels[i + 1] << f * z * p**i * digits[i]
+        levels[:i] = [levels[i]] * i
 
 
 def find_counterexample(profile: PrimeProfile) -> tuple[int, int, ConjectureVerdict]:

@@ -188,7 +188,7 @@ def test_acceptance_8_self_similarity_and_period():
 
 def test_acceptance_9_parallel_determinism(tmp_path):
     # The shortest sweep whose --jobs 8 plan starts a real pool.
-    rows = 6000
+    rows = 22000
     assert len(conjecture._row_chunks(rows, 8)) >= 2
     files = []
     for jobs in (1, 8):

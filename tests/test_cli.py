@@ -94,6 +94,25 @@ def test_coefficient_mod_m_window_is_bounded(capsys, monkeypatch):
         assert (code, out) == (0, f"{naive_fibonomial(20, k) % 7}\n")
 
 
+def test_coefficient_mod_m_window_is_weighed_by_modulus_words(capsys, monkeypatch):
+    # A ratio costs more the more 30-bit words the modulus has, so at w
+    # words the bound is MAX_MOD_WINDOW // (w + w*w // 64): 300 ratios at
+    # one word, 100 at three (2**61 - 1), 75 at four (10**30 + 57), 1 at 100
+    # (2**2990 + 1, weight 100 + 156) and 0 at 443 (a 4,000-digit modulus).
+    # Refused windows name their own bound and start no ratio.
+    monkeypatch.setattr(cli, "MAX_MOD_WINDOW", 300)
+    for m, bound in ((2 ** 30 - 35, 300), (2 ** 61 - 1, 100), (10 ** 30 + 57, 75),
+                     (2 ** 2990 + 1, 1), (10 ** 4000 + 7, 0)):
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "fibonomial_mod", None)
+            code, out, err = run(capsys, "fibonomial", "1000", str(bound + 1), "--mod", str(m))
+        assert (code, out) == (2, "") and err == (
+            f"error: fibonomial coefficient mod m at j=min(k, n-k)={bound + 1} exceeds "
+            f"the window bound {bound}\n")
+        code, out, _ = run(capsys, "fibonomial", "40", str(min(bound, 40)), "--mod", str(m))
+        assert (code, out) == (0, f"{naive_fibonomial(40, min(bound, 40)) % m}\n")
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_fibonomial_mod_band_matches_exact(data):
@@ -628,7 +647,7 @@ def test_verify_usage_errors(tmp_path, capsys):
 
 def test_verify_sweeps_in_process_by_default():
     # A sweep uses worker processes only when asked to, and then only from
-    # the measured 6,000 rows up.
+    # the measured 22,000 rows up.
     assert build_parser().parse_args(["verify", "--prime", "7"]).jobs == 1
 
 

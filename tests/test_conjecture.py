@@ -2,11 +2,13 @@ import concurrent.futures
 import io
 import json
 import math
+import random
+import re
 import tracemalloc
 from itertools import accumulate, zip_longest
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibonomial.conjecture as conjecture
@@ -147,14 +149,14 @@ def test_row_chunks_split_rows_into_balanced_spans(monkeypatch):
 
 def test_row_chunks_start_a_pool_at_the_measured_floor():
     # The floor is the pairs per worker of the shortest sweep at which two
-    # workers beat one: 6,000 rows. From there on a sweep gets one worker
+    # workers beat one: 22,000 rows. From there on a sweep gets one worker
     # per job, as many as it asks for.
-    assert conjecture.MIN_SPAN_PAIRS == 6000 * 6001 // 4
+    assert conjecture.MIN_SPAN_PAIRS == 22000 * 22001 // 4
     for jobs in (1, 2, 8, 10 ** 9):
-        assert len(conjecture._row_chunks(5999, jobs)) == 1
-    for rows in (6000, 8000, 12000, 20000):
+        assert len(conjecture._row_chunks(21999, jobs)) == 1
+    for rows in (22000, 24000, 30000, 40000):
         assert [len(conjecture._row_chunks(rows, jobs)) for jobs in (1, 2, 3, 8)] == [1, 2, 3, 8]
-    assert len(conjecture._row_chunks(6000, 10 ** 9)) > 8
+    assert len(conjecture._row_chunks(22000, 10 ** 9)) > 8
     for rows in (0, 1, 900):
         assert len(conjecture._row_chunks(rows, 1)) == min(rows, 1)
 
@@ -194,7 +196,7 @@ def test_verify_conjecture_pool_has_one_worker_per_span(rows, jobs, monkeypatch)
 
 
 def test_verify_conjecture_short_sweep_starts_no_pool(monkeypatch):
-    # 900 rows are far below the 6,000 at which a pool pays for its
+    # 900 rows are far below the 22,000 at which a pool pays for its
     # start-up, so --jobs 8 sweeps in process.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
@@ -279,52 +281,116 @@ def test_sweep_rows_matches_per_pair_loop_sampled(p, lo, rows):
     assert sweep_rows_per_pair(profile, lo, lo + rows, prefix) == []
 
 
-@st.composite
-def _pair_bit_rows(draw):
-    # Values whose largest, top, sits just below or at a field-width
-    # boundary: 2 * top needs 8j bits from top = 2**(8j - 2) on, and then
-    # the guard bit above it a field one byte wider. Values past hi must
-    # be ignored, so some of them are larger still.
-    j = draw(st.integers(1, 3))
-    top = 2 ** (8 * j - 2) - draw(st.integers(0, 1))
-    hi = draw(st.integers(1, 40))
-    near = st.sampled_from([0, 1, top // 2, top - 1, top])
-    x = draw(st.lists(st.one_of(st.integers(0, top), near), min_size=hi, max_size=hi))
-    x[draw(st.integers(0, hi - 1))] = top
-    x += draw(st.lists(st.integers(0, 4 * top), max_size=3))
-    return x, draw(st.integers(0, hi - 1)), hi
+def _divisible(x, n, k):
+    return x[n] - x[k] - x[n - k] >= 1
 
 
-@given(_pair_bit_rows())
-@example(([0, 0, 0], 1, 3))
-@example(([5, 63, 63], 2, 3))
-@example(([16383, 16384, 1, 16384], 1, 3))
-@settings(max_examples=300, deadline=None, derandomize=True)
-def test_pair_bits_match_per_pair_comparisons(case):
-    # The sweep's whole-row oracle test against one comparison per pair, on
-    # spans from lo > 0 and rows of length 1 included.
-    x, lo, hi = case
-    want = [bytes(x[k] + x[n - k] < x[n] for k in range(n + 1))
-            for n in range(lo, hi)]
-    assert list(conjecture._pair_bits(x, lo, hi)) == want
+def _assert_sweep_flags_changed_verdicts(p, lo, hi, table):
+    # The exact table's verdicts are the carry test's. A sweep over a
+    # changed table must pass when every pair of rows [lo, hi) keeps its
+    # verdict, and otherwise raise naming the first pair that changed.
+    true = conjecture.fibotorial_valuations(hi - 1, p)
+    changed = next(((n, k) for n in range(lo, hi) for k in range(n + 1)
+                    if _divisible(table, n, k) != _divisible(true, n, k)), None)
+    if changed is None:
+        assert conjecture._sweep_rows(entry_point(p), lo, hi, tuple(table)) is None
+        return
+    n, k = changed
+    message = (f"carry test {_divisible(true, n, k)} disagrees with oracle exponent "
+               f"{table[n] - table[k] - table[n - k]} at (n={n}, k={k}, p={p})")
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        conjecture._sweep_rows(entry_point(p), lo, hi, tuple(table))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 23])
+def test_sweep_rows_raises_exactly_where_a_bumped_entry_changes_a_verdict(p):
+    # Each single entry of the table over 4z + 7 rows, raised by one and,
+    # where positive, lowered by one, on the whole span and on one that
+    # opens inside a block.
+    z = entry_point(p).p_star
+    rows = 4 * z + 7
+    true = conjecture.fibotorial_valuations(rows - 1, p)
+    for i in range(rows):
+        for step in (1, -1):
+            table = list(true)
+            table[i] += step
+            if table[i] >= 0:
+                for lo in (0, 2 * z + 1):
+                    _assert_sweep_flags_changed_verdicts(p, lo, rows, table)
+
+
+def _table_topped_at(top, rng):
+    # a * x + c * i keeps every verdict of x, and is largest at the last
+    # index: draw p and rows until a, c put that value exactly at top.
+    while True:
+        p = rng.choice([2, 3, 5, 7, 23])
+        rows = rng.randint(2, 4 * entry_point(p).p_star + 7)
+        x = conjecture.fibotorial_valuations(rows - 1, p)
+        for a in range(1, rows):
+            if a * x[-1] <= top and (top - a * x[-1]) % (rows - 1) == 0:
+                c = (top - a * x[-1]) // (rows - 1)
+                return p, [a * v + c * i for i, v in enumerate(x)]
+
+
+def test_sweep_rows_oracle_at_every_field_width():
+    # The field is b + 1 bits, b the bit length of twice the largest value:
+    # the guard bit b moves up one when that value reaches 2**w, for every
+    # w. Seeded tables with the same verdicts as the exact one, their
+    # largest value at 2**w - 1 and at 2**w, pass whole and from a random
+    # row; the same tables with one entry raised by one, and exact tables
+    # with one entry set to that largest value, so that rows after it have
+    # smaller totals, raise exactly where a verdict changes.
+    rng = random.Random(23)
+    for w in range(1, 65):
+        for top in (2 ** w - 1, 2 ** w):
+            p, table = _table_topped_at(top, rng)
+            assert max(table) == top
+            lo = rng.randrange(len(table))
+            for start in (0, lo):
+                _assert_sweep_flags_changed_verdicts(p, start, len(table), table)
+            table[rng.randrange(len(table))] += 1
+            _assert_sweep_flags_changed_verdicts(p, lo, len(table), table)
+            table = list(conjecture.fibotorial_valuations(len(table) - 1, p))
+            table[rng.randrange(len(table))] = top
+            _assert_sweep_flags_changed_verdicts(p, 0, len(table), table)
 
 
 def test_digit_factor_table_from_prefix_matches_triangle_mod_p():
-    # _pair_bits reads "p divides C(a, b)_F" off exact valuations, where the
-    # triangle mod p gives it by the row recurrence: both must agree on
-    # every pair a, b < max(z, p), in both relation classes.
+    # The sweep's oracle reads "p divides C(a, b)_F" off exact valuations,
+    # where the triangle mod p gives it by the row recurrence. The sweep
+    # checks the oracle against the carry test at every pair a, b <
+    # max(z, p), and the carries in the base (z, p, p, ...) are the
+    # triangle's zeros, in both relation classes.
     classes = set()
     for p in filter(is_prime, range(200)):
         profile = entry_point(p)
+        z = profile.p_star
         classes.add(profile.relation is Relation.LESS)
-        size = max(profile.p_star, p)
-        table = list(conjecture._pair_bits(fibotorial_valuations(size - 1, p), 0, size))
-        want = [bytes(e == 0 for e in row.entries)
-                for row in iter_fibonomial_rows_mod(size, p)]
-        assert table == want, p
-        # Rows below z are all zeros: the digit factors are prime to p.
-        assert table[:profile.p_star] == [bytes(a + 1) for a in range(profile.p_star)], p
+        size = max(z, p)
+        assert conjecture._sweep_rows(
+            profile, 0, size, fibotorial_valuations(size - 1, p)) is None
+        carries = [[k % z > n % z or k // z > n // z for k in range(n + 1)]
+                    for n in range(size)]
+        zeros = [[e == 0 for e in row.entries]
+                 for row in iter_fibonomial_rows_mod(size, p)]
+        assert carries == zeros, p
+        # Rows below z have no zeros: the digit factors are prime to p.
+        assert not any(map(any, zeros[:z])), p
     assert classes == {True, False}
+
+
+def _recording_table(table, packed):
+    # The prefix table, recording the length of every slice taken from it:
+    # the sweep packs the oracle from a slice, and reads row totals by
+    # index.
+    class Recording(tuple):
+        def __getitem__(self, i):
+            value = tuple.__getitem__(self, i)
+            if isinstance(i, slice):
+                packed.append(len(value))
+            return value
+
+    return Recording(table)
 
 
 @pytest.mark.parametrize("method", ["carry", "oracle"])
@@ -334,16 +400,13 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
     # and builds no digit-factor table; no row of the triangle mod p, and
     # no coefficient mod p, is computed.
     packed = []
-    pair_bits = conjecture._pair_bits
-
-    def recording(x, lo, hi):
-        packed.append(len(x[:hi]))
-        return pair_bits(x, lo, hi)
+    oracle = conjecture.fibotorial_valuations
 
     def refused(*args, **kwargs):
         raise AssertionError(f"coefficients mod p computed with {args}")
 
-    monkeypatch.setattr(conjecture, "_pair_bits", recording)
+    monkeypatch.setattr(conjecture, "fibotorial_valuations",
+                        lambda limit, p: _recording_table(oracle(limit, p), packed))
     monkeypatch.setattr(core, "_weighted_rows", refused)
     monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
     assert entry_point(10007).p_star == 10008
@@ -351,21 +414,14 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
     assert packed == [30] + [hi for _, hi in conjecture._row_chunks(30, 3)]
 
 
-def test_sweep_rows_past_entry_point_on_large_prime_builds_no_table(monkeypatch):
+def test_sweep_rows_past_entry_point_on_large_prime_builds_no_table():
     # Rows 10006-10011 of p = 10007 straddle z = 10008, past which the high
     # digit is 1. The only packing is that of the oracle rows: no table of
     # ~z rows and ~z**2 / 2 bytes.
     packed = []
-    pair_bits = conjecture._pair_bits
-
-    def recording(x, lo, hi):
-        packed.append(len(x[:hi]))
-        return pair_bits(x, lo, hi)
-
-    monkeypatch.setattr(conjecture, "_pair_bits", recording)
     profile = entry_point(10007)
     assert profile.p_star == 10008
-    prefix = conjecture.fibotorial_valuations(10011, 10007)
+    prefix = _recording_table(conjecture.fibotorial_valuations(10011, 10007), packed)
     tracemalloc.start()
     try:
         got = conjecture._sweep_rows(profile, 10006, 10012, prefix)
@@ -386,22 +442,25 @@ def test_oracle_stride_catches_wrong_carry_valuation(corrupt_oracle):
 
 
 def test_oracle_stride_catches_wrong_carry_test(monkeypatch):
-    # Give the block of rows 16 ... 23, whose high digits are those of
-    # 16 = (0 2), the digits of 8, (0 1): k = 16's top digit 2 then exceeds
-    # the 1 that row 16 is given, so the carry test reports a carry in
-    # 0 + 16, which has none.
+    # A span from row 64 = 8 * (1 1) starts its odometer from the digits
+    # of 64. Give it those of 56 = 8 * (0 1): block 1 then seems to hold a
+    # digit above q's, so the carry test reports a carry in 8 + 56, which
+    # has none.
     def wrong_digits(n, profile):
-        return (0, 1) if n == 16 else expand_base_fp(n, profile)
+        return (0, 0, 1) if n == 64 else expand_base_fp(n, profile)
 
     monkeypatch.setattr(conjecture, "expand_base_fp", wrong_digits)
-    with pytest.raises(ArithmeticError, match=r"disagrees with oracle .* \(n=16, k=16, p=7\)"):
-        verify_conjecture(entry_point(7), 40)
+    prefix = conjecture.fibotorial_valuations(79, 7)
+    with pytest.raises(ArithmeticError, match=r"^carry test True disagrees with oracle "
+                                              r"exponent 0 at \(n=64, k=8, p=7\)$"):
+        conjecture._sweep_rows(entry_point(7), 64, 80, prefix)
 
 
 def test_sweep_rows_expands_only_its_own_rows(monkeypatch):
-    # Each block of z = 8 rows is built from the digits of its own first
-    # row, so a pooled worker whose span starts high does no digit work for
-    # the rows below it.
+    # A span expands the digits of its first block's first row once, and
+    # the odometer carries them through its later blocks, so a pooled
+    # worker whose span starts high does no digit work for the rows below
+    # it, and none per block.
     seen = []
 
     def recording(n, profile):
@@ -410,10 +469,12 @@ def test_sweep_rows_expands_only_its_own_rows(monkeypatch):
 
     monkeypatch.setattr(conjecture, "expand_base_fp", recording)
     profile = entry_point(7)
-    prefix = conjecture.fibotorial_valuations(259, 7)
-    assert conjecture._sweep_rows(profile, 200, 260, prefix) is None
-    assert seen == list(range(200, 260, 8))
-    assert sweep_rows_per_pair(profile, 200, 260, prefix) == []
+    prefix = conjecture.fibotorial_valuations(459, 7)
+    for lo in (200, 203):
+        seen.clear()
+        assert conjecture._sweep_rows(profile, lo, 460, prefix) is None
+        assert seen == [200]
+    assert sweep_rows_per_pair(profile, 200, 460, prefix) == []
 
 
 def test_oracle_mismatch_at_interior_k_names_pair_and_exponent():
