@@ -10,12 +10,15 @@ usage or domain errors.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import contextmanager
 from importlib import import_module
-from typing import IO, Callable, Iterator
+from types import SimpleNamespace
+from typing import IO, TYPE_CHECKING, Callable, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _lazy(module: str, name: str) -> Callable:
@@ -54,13 +57,17 @@ DEFAULT_EXACT_CAP = 1000
 # ratio costs about w + w*w/64 times that at w words (measured from 2 to
 # 13,288 bits on a 2-vCPU Xeon VM), and the bound is divided by that weight.
 MAX_MOD_WINDOW = 700_000
+# A triangle mod m holds every row in memory. svg, the slowest format, took
+# 0.96 s and 147 MB peak in a fresh process at this many rows mod 5 (1,200
+# rows: 1.30 s and 207 MB; 2,000 rows: 3.7 s and 552 MB; 2-vCPU Xeon VM).
+MAX_TRIANGLE_ROWS = 1000
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 
 
-def _emit(args: argparse.Namespace, value, payload: dict) -> None:
+def _emit(args: SimpleNamespace, value, payload: dict) -> None:
     if getattr(args, "json", False):
         import json
 
@@ -69,7 +76,7 @@ def _emit(args: argparse.Namespace, value, payload: dict) -> None:
         print(value)
 
 
-def _emit_exact(args: argparse.Namespace, value: int, payload: dict) -> None:
+def _emit_exact(args: SimpleNamespace, value: int, payload: dict) -> None:
     # An exact answer that passed the --cap check prints at any length; the
     # int-to-str digit limit is lifted for the print only.
     limit = sys.get_int_max_str_digits()
@@ -115,7 +122,7 @@ def _output_file(path: str) -> Iterator[Callable[[Callable[[IO[str]], object]], 
         raise
 
 
-def _cmd_fib(args: argparse.Namespace) -> int:
+def _cmd_fib(args: SimpleNamespace) -> int:
     if args.mod is not None:
         value = fib_mod(args.n, args.mod)
     else:
@@ -125,13 +132,13 @@ def _cmd_fib(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_nk(args: argparse.Namespace) -> None:
+def _check_nk(args: SimpleNamespace) -> None:
     if args.n < 0 or args.k < 0:
         raise ValueError(
             f"fibonomial arguments must be >= 0, got ({args.n}, {args.k})")
 
 
-def _cmd_fibonomial(args: argparse.Namespace) -> int:
+def _cmd_fibonomial(args: SimpleNamespace) -> int:
     _check_nk(args)
     if args.mod is not None:
         j = min(args.k, args.n - args.k)
@@ -150,7 +157,7 @@ def _cmd_fibonomial(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_entry_point(args: argparse.Namespace) -> int:
+def _cmd_entry_point(args: SimpleNamespace) -> int:
     profile = entry_point(args.p)
     human = (f"p={profile.p} p_star={profile.p_star} "
              f"nu_p_F_pstar={profile.nu_p_F_pstar} relation={profile.relation.value}")
@@ -158,7 +165,7 @@ def _cmd_entry_point(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_valuation(args: argparse.Namespace) -> int:
+def _cmd_valuation(args: SimpleNamespace) -> int:
     _check_nk(args)
     if args.k > args.n:
         raise ValueError(
@@ -175,7 +182,7 @@ def _cmd_valuation(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: SimpleNamespace) -> int:
     if args.base == "p":
         if not is_prime(args.prime):
             raise ValueError(f"{args.prime} is not prime")
@@ -191,16 +198,19 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_lucas(args: argparse.Namespace) -> int:
+def _cmd_lucas(args: SimpleNamespace) -> int:
     residue = lucas_binomial_residue(args.n, args.k, args.prime)
     _emit(args, residue,
           {"n": args.n, "k": args.k, "p": args.prime, "residue": residue})
     return EXIT_OK
 
 
-def _cmd_triangle(args: argparse.Namespace) -> int:
+def _cmd_triangle(args: SimpleNamespace) -> int:
     if args.mod is None:
         _check_cap(args.rows - 1, args.cap, "exact triangle row")
+    elif args.rows > MAX_TRIANGLE_ROWS:
+        raise ValueError(
+            f"rows must be <= {MAX_TRIANGLE_ROWS} for a triangle mod m, got {args.rows}")
     spec = RenderSpec(rows=args.rows, kind=args.kind,
                       modulus=args.mod, format=args.format)
     if args.out:
@@ -212,7 +222,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     profile = entry_point(args.prime)
 
     if args.counterexample:
@@ -242,112 +252,81 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_COUNTEREXAMPLE if record.counterexamples else EXIT_OK
 
 
-def _add_json(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true",
-                   help="emit a machine-readable JSON object")
+class _Arg(NamedTuple):
+    """One argument of a subcommand. name is a positional's dest or an
+    option's full spelling; type converts its value (None keeps the text,
+    bool marks a flag that takes no value); help is the text, or a function
+    that gives it when it names a constant of a module a parse must not
+    load."""
+
+    name: str
+    type: Callable | None = int
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | Callable[[], str] | None = None
 
 
-def _add_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, default=DEFAULT_EXACT_CAP,
-                   help="exact-mode size cap (default %(default)s)")
-
-
-def _args_fib(p: argparse.ArgumentParser) -> None:
-    p.add_argument("n", type=int)
-    p.add_argument("--mod", type=int, default=None)
-    _add_cap(p)
-    _add_json(p)
-
-
-def _args_fibonomial(p: argparse.ArgumentParser) -> None:
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--mod", type=int, default=None)
-    _add_cap(p)
-    _add_json(p)
-
-
-def _args_entry_point(p: argparse.ArgumentParser) -> None:
-    p.add_argument("p", type=int)
-    _add_json(p)
-
-
-def _args_valuation(p: argparse.ArgumentParser) -> None:
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--method", choices=("carry", "oracle"), default="carry",
-                   help="closed form, the carry count at odd p (default), or the oracle")
-    _add_cap(p)
-    _add_json(p)
-
-
-def _args_expand(p: argparse.ArgumentParser) -> None:
-    p.add_argument("n", type=int)
-    p.add_argument("--base", choices=("p", "Fp"), required=True,
-                   help="uniform base p, or the entry-point base of p")
-    p.add_argument("--prime", type=int, required=True)
-    _add_json(p)
-
-
-def _args_lucas(p: argparse.ArgumentParser) -> None:
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--prime", type=int, required=True)
-    _add_json(p)
-
-
-def _args_triangle(p: argparse.ArgumentParser) -> None:
-    from .render import FORMATS, KINDS
-
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--kind", choices=KINDS, default="fibonomial")
-    p.add_argument("--mod", type=int, default=None)
-    p.add_argument("--format", choices=FORMATS, default="ascii")
-    p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    _add_cap(p)
-
-
-def _args_verify(p: argparse.ArgumentParser) -> None:
+def _jobs_help() -> str:
     from .conjecture import MIN_SPAN_PAIRS
 
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--out", default=None,
-                   help=f"JSONL path (default: ${SWEEP_DIR_ENV} or cwd)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="at most this many worker processes, never more "
-                        "than the rows; each sweeps one contiguous span of "
-                        "rows. A sweep of fewer than "
-                        f"{2 * MIN_SPAN_PAIRS:,} pairs (22,000 rows) runs in "
-                        "process (default: 1, in process)")
-    p.add_argument("--counterexample", action="store_true",
-                   help="construct the witness for primes with entry point "
-                        "below the prime")
+    return ("at most this many worker processes, never more than the rows; "
+            "each sweeps one contiguous span of rows. A sweep of fewer than "
+            f"{2 * MIN_SPAN_PAIRS:,} pairs (22,000 rows) runs in process "
+            "(default: 1, in process)")
 
 
-# Subcommand name: its help line, its arguments and its handler, in the
-# order the top-level help lists them.
+_N, _K = _Arg("n"), _Arg("k")
+_MOD = _Arg("--mod")
+_PRIME = _Arg("--prime", required=True)
+_CAP = _Arg("--cap", default=DEFAULT_EXACT_CAP,
+            help="exact-mode size cap (default %(default)s)")
+_JSON = _Arg("--json", bool, False, help="emit a machine-readable JSON object")
+
+# Subcommand name: its help line, its handler and its arguments, in the
+# order the top-level help and each usage line list them.
 _COMMANDS = {
-    "fib": ("Fibonacci number, exact or mod m", _args_fib, _cmd_fib),
-    "fibonomial": ("fibonomial coefficient, exact or mod m",
-                   _args_fibonomial, _cmd_fibonomial),
-    "entry-point": ("entry point profile of a prime",
-                    _args_entry_point, _cmd_entry_point),
-    "valuation": ("p-adic valuation of a fibonomial coefficient",
-                  _args_valuation, _cmd_valuation),
-    "expand": ("digit expansion of n", _args_expand, _cmd_expand),
-    "lucas": ("binomial coefficient mod p by digits", _args_lucas, _cmd_lucas),
-    "triangle": ("render a coefficient triangle", _args_triangle, _cmd_triangle),
-    "verify": ("sweep the divisibility biconditional", _args_verify, _cmd_verify),
+    "fib": ("Fibonacci number, exact or mod m", _cmd_fib, (_N, _MOD, _CAP, _JSON)),
+    "fibonomial": ("fibonomial coefficient, exact or mod m", _cmd_fibonomial,
+                   (_N, _K, _MOD, _CAP, _JSON)),
+    "entry-point": ("entry point profile of a prime", _cmd_entry_point,
+                    (_Arg("p"), _JSON)),
+    "valuation": ("p-adic valuation of a fibonomial coefficient", _cmd_valuation, (
+        _N, _K, _PRIME,
+        _Arg("--method", None, "carry", ("carry", "oracle"),
+             help="closed form, the carry count at odd p (default), or the oracle"),
+        _CAP, _JSON)),
+    "expand": ("digit expansion of n", _cmd_expand, (
+        _N,
+        _Arg("--base", None, None, ("p", "Fp"), True,
+             help="uniform base p, or the entry-point base of p"),
+        _PRIME, _JSON)),
+    "lucas": ("binomial coefficient mod p by digits", _cmd_lucas,
+              (_N, _K, _PRIME, _JSON)),
+    "triangle": ("render a coefficient triangle", _cmd_triangle, (
+        _Arg("--rows", required=True),
+        _Arg("--kind", None, "fibonomial", ("fibonomial", "binomial")),
+        _MOD,
+        _Arg("--format", None, "ascii", ("ascii", "pgm", "svg", "json")),
+        _Arg("--out", None, help="write to a file instead of stdout"),
+        _CAP)),
+    "verify": ("sweep the divisibility biconditional", _cmd_verify, (
+        _PRIME,
+        _Arg("--rows"),
+        _Arg("--out", None, help=f"JSONL path (default: ${SWEEP_DIR_ENV} or cwd)"),
+        _Arg("--jobs", default=1, help=_jobs_help),
+        _Arg("--counterexample", bool, False,
+             help="construct the witness for primes with entry point below the prime"))),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser. When command names a subcommand, only that
-    one is declared, about a sixth of the cost of declaring all eight;
-    its usage lines and errors read as the full parser's. Any other command
-    declares every subcommand."""
+    """The command-line parser, declared from _COMMANDS. When command names
+    a subcommand, only that one is declared, about a sixth of the cost of
+    declaring all eight; its usage lines and errors read as the full
+    parser's. Any other command declares every subcommand."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fibonomial",
         description="Fibonomial triangles, entry-point digit expansions, "
@@ -362,22 +341,78 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         names = list(_COMMANDS)
         sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
-        help_line, add_args, handler = _COMMANDS[name]
+        help_line, handler, table = _COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
-        add_args(p)
+        for arg in table:
+            help_text = arg.help() if callable(arg.help) else arg.help
+            if arg.type is bool:
+                p.add_argument(arg.name, action="store_true", help=help_text)
+            elif arg.name.startswith("-"):
+                p.add_argument(arg.name, type=arg.type, default=arg.default,
+                               choices=arg.choices, required=arg.required,
+                               help=help_text)
+            else:
+                p.add_argument(arg.name, type=arg.type, choices=arg.choices,
+                               help=help_text)
         p.set_defaults(func=handler)
     return parser
+
+
+def _parse_quick(argv: list[str]) -> dict | None:
+    """What build_parser().parse_args(argv) holds, read from _COMMANDS when
+    argv is in canonical form: a subcommand name; each option spelled in
+    full, either a flag or followed by a value that does not start with
+    "-"; the positionals in order; every value converted by its type (the
+    int() call argparse makes) and among its choices; every required
+    argument given. A repeated option keeps its last value, as in argparse.
+    None for any other argv, which is argparse's to parse, so that only
+    argparse writes help, usage and errors."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, table = _COMMANDS[argv[0]]
+    values = {arg.name.lstrip("-"): arg.default for arg in table}
+    values.update(command=argv[0], func=handler)
+    options = {arg.name: arg for arg in table if arg.name.startswith("-")}
+    positionals = [arg for arg in table if not arg.name.startswith("-")]
+    missing = {arg.name for arg in table if arg.required}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positionals:
+                return None
+            arg = positionals.pop(0)
+        elif token in options:
+            arg = options[token]
+            if arg.type is bool:
+                values[arg.name.lstrip("-")] = True
+                continue
+            token = next(tokens, "-")
+            if token.startswith("-"):
+                return None
+        else:
+            return None
+        try:
+            value = token if arg.type is None else arg.type(token)
+        except ValueError:
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[arg.name.lstrip("-")] = value
+        missing.discard(arg.name)
+    return None if positionals or missing else values
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse prints its own message
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
+    values = _parse_quick(argv)
+    if values is None:
+        try:
+            values = vars(build_parser(argv[0] if argv else None).parse_args(argv))
+        except SystemExit as exc:  # argparse prints its own message
+            code = exc.code
+            return code if isinstance(code, int) else EXIT_USAGE
+    args = SimpleNamespace(**values)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

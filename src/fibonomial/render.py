@@ -22,7 +22,6 @@ from .core import (
 )
 
 KINDS = ("fibonomial", "binomial")
-FORMATS = ("ascii", "pgm", "svg", "json")
 
 _VIRIDIS = (
     "#440154", "#46327e", "#365c8d", "#277f8e",

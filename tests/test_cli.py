@@ -351,6 +351,21 @@ def test_triangle_usage_errors(capsys):
     assert code == 2
 
 
+def test_triangle_mod_m_rows_are_bounded(tmp_path, capsys, monkeypatch):
+    # Checked before any work: past the bound render is never called and
+    # no --out file is made. Exact triangles keep their --cap bound.
+    monkeypatch.setattr(cli, "MAX_TRIANGLE_ROWS", 5)
+    assert run(capsys, "triangle", "--rows", "5", "--mod", "2")[0] == 0
+    assert run(capsys, "triangle", "--rows", "6")[0] == 0
+    monkeypatch.setattr(cli, "render", None)
+    out = tmp_path / "t.txt"
+    for argv in (["--rows", "6", "--mod", "2"],
+                 ["--rows", "7", "--mod", "5", "--format", "svg", "--out", str(out)]):
+        assert run(capsys, "triangle", *argv) == (
+            2, "", f"error: rows must be <= 5 for a triangle mod m, got {argv[1]}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture
 def str_digits_640():
     # 640 is the smallest limit Python accepts.
@@ -499,7 +514,85 @@ def test_cli_parse_output_matches_full_parser(argv, capsys):
     assert got == (stop.value.code, want.out, want.err)
 
 
+# Tokens a drawn argv may gain: joined, abbreviated and negative options,
+# int() spellings argparse also reads (1_000, " 7") or refuses (0x10, ""),
+# "--", help, extra tokens, and options and flags out of place.
+NOISE = ("--mod=7", "--cap=5", "--mo", "--prim", "-5", "0x10", "1_000", " 7",
+         "", "--", "-h", "nope", "extra", "7", "--json", "--mod", "--prime",
+         "--rows", "--out", "--counterexample")
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=1000, derandomize=True)
+def test_quick_parse_matches_full_parser(data):
+    # Argv drawn from each subcommand's declared arguments (options in any
+    # order, a bad choice now and then), then edited with NOISE in place
+    # of a value or anywhere, a repeated option or a cut command name. The
+    # quick parse declines or gives exactly the full parser's values, and
+    # it reads every argv that was not edited and lacks no required option
+    # or valid choice. Whatever argparse rejects, main rejects with the
+    # same exit code, stdout and stderr.
+    command = data.draw(st.sampled_from(list(cli._COMMANDS)))
+    canonical = True
+    groups, options = [], []
+    for arg in cli._COMMANDS[command][2]:
+        if arg.choices:
+            value = data.draw(st.sampled_from((*arg.choices, "nope")))
+        elif arg.type is None:
+            value = data.draw(st.sampled_from(["out.txt", "a b", ""]))
+        else:
+            value = str(data.draw(st.integers(0, 10**6)))
+        if not arg.name.startswith("-"):
+            groups.append([value])
+        elif data.draw(st.booleans()) or arg.required and data.draw(st.integers(0, 9)):
+            options.append([arg.name] if arg.type is bool else [arg.name, value])
+            canonical = canonical and value != "nope"
+        else:
+            canonical = canonical and not arg.required
+    for group in data.draw(st.permutations(options)):
+        groups.insert(data.draw(st.integers(0, len(groups))), group)
+    edits = data.draw(st.lists(st.tuples(
+        st.sampled_from(("value", "insert", "replace", "delete", "repeat", "command")),
+        st.integers(0, 99), st.sampled_from(NOISE)), max_size=2))
+    valued = [g for g in groups if len(g) == 2 or not g[0].startswith("-")]
+    for edit, i, noise in edits:
+        if edit == "value" and valued:
+            valued[i % len(valued)][-1] = noise
+    argv = [token for group in groups for token in group]
+    for edit, i, noise in edits:
+        if edit == "insert":
+            argv.insert(i % (len(argv) + 1), noise)
+        elif edit in ("replace", "delete") and argv:
+            argv[i % len(argv):i % len(argv) + 1] = [noise] if edit == "replace" else []
+        elif edit == "repeat" and options:
+            name, *value = options[i % len(options)]
+            argv += [name, *(str(i) if v.isdigit() else v for v in value)]
+        elif edit == "command":
+            command = command[:-1]
+    argv = [command, *argv]
+    canonical = canonical and not edits
+
+    quick = cli._parse_quick(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            full, code = vars(build_parser().parse_args(argv)), None
+        except SystemExit as stop:
+            full, code = None, stop.code
+    if quick is not None or canonical:
+        assert quick == full
+    if full is None:
+        got_out, got_err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(got_out), contextlib.redirect_stderr(got_err):
+            got = main(argv)
+        assert (got, got_out.getvalue(), got_err.getvalue()) == (
+            code, out.getvalue(), err.getvalue())
+
+
 def test_cli_declares_only_the_named_subcommand(capsys, monkeypatch):
+    # A well-formed command is read from the argument table and declares no
+    # parser. Any other form declares only its own subcommand, and the
+    # forms argparse accepts answer as they did.
     declared = []
 
     def recording(command=None):
@@ -508,7 +601,11 @@ def test_cli_declares_only_the_named_subcommand(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", recording)
     assert run(capsys, "fib", "5") == (0, "5\n", "")
-    assert declared == ["fib"]
+    assert declared == []
+    assert run(capsys, "fibonomial", "5", "2", "--mod=7") == (0, "1\n", "")
+    assert run(capsys, "fibonomial", "5", "2", "--mo", "7") == (0, "1\n", "")
+    assert run(capsys, "fib", "x")[0] == 2
+    assert declared == ["fibonomial", "fibonomial", "fib"]
     subparsers = build_parser("fib")._subparsers._group_actions[0]
     assert list(subparsers.choices) == ["fib"]
 
@@ -653,13 +750,14 @@ def test_verify_sweeps_in_process_by_default():
 
 def test_cli_import_leaves_process_pool_unloaded():
     # Only a pooled sweep needs concurrent.futures.process, and only an
-    # exact triangle needs decimal; importing either with the CLI would add
-    # its start-up cost to every command.
-    code = ("import sys, fibonomial.cli; "
-            "print([m in sys.modules for m in ('concurrent.futures.process', 'decimal')])")
+    # exact triangle needs decimal, and only help or a malformed command
+    # needs argparse; importing any of them with the CLI would add its
+    # start-up cost to every command.
+    code = ("import sys, fibonomial.cli; print([m in sys.modules for m in "
+            "('concurrent.futures.process', 'decimal', 'argparse')])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
-    assert done.stdout.strip() == "[False, False]"
+    assert done.stdout.strip() == "[False, False, False]"
 
 
 # Per query command, the package modules it loads besides cli.
@@ -678,11 +776,13 @@ QUERY_MODULES = {
 def test_query_loads_only_the_modules_it_uses(command):
     # Each query runs in a fresh process, so what it imports is most of its
     # time: no sweep or render module, and none of dataclasses (with
-    # inspect), json (only for --json) or decimal (only for exact rows).
+    # inspect), json (only for --json), decimal (only for exact rows) or
+    # argparse with the gettext and locale it loads (only for help and
+    # malformed commands).
     code = ("import sys; from fibonomial.cli import main; "
             f"code = main({command.split()!r}); "
             "print(code, sorted(m for m in sys.modules if m.startswith('fibonomial.') "
-            "or m in ('dataclasses', 'json', 'decimal')))")
+            "or m in ('dataclasses', 'json', 'decimal', 'argparse', 'gettext', 'locale')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
     loaded = sorted(f"fibonomial.{m}" for m in {"cli", *QUERY_MODULES[command]})
