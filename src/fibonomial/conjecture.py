@@ -10,13 +10,11 @@ provably fails and a constructive witness is produced instead.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat, zip_longest
 from math import isqrt
-from typing import IO
 
 from . import radix
 from .radix import expand_base_fp
@@ -57,22 +55,16 @@ class SweepRecord:
         The header names the left-hand side's method, carry counting, for
         every prime. The summary's "seconds" is written as null so identical
         sweeps serialize identically; the measured duration stays on the
-        record.
+        record. Each line is the text json.dumps gives for its object.
         """
-        lines = [json.dumps({"p": self.p, "rows": self.rows, "method": "carry"})]
+        lines = [f'{{"p": {self.p}, "rows": {self.rows}, "method": "carry"}}']
         for v in self.counterexamples:
-            lines.append(json.dumps({
-                "p": v.p, "n": v.n, "k": v.k,
-                "lhs": v.lhs_divisible, "rhs": v.rhs_divisible,
-                "agree": v.agrees,
-            }))
-        lines.append(json.dumps(
-            {"counterexamples": len(self.counterexamples), "seconds": None}))
+            lhs, rhs, agree = (str(b).lower()
+                               for b in (v.lhs_divisible, v.rhs_divisible, v.agrees))
+            lines.append(f'{{"p": {v.p}, "n": {v.n}, "k": {v.k}, '
+                         f'"lhs": {lhs}, "rhs": {rhs}, "agree": {agree}}}')
+        lines.append(f'{{"counterexamples": {len(self.counterexamples)}, "seconds": null}}')
         return lines
-
-    def write_jsonl(self, fh: IO[str]) -> None:
-        for line in self.jsonl_lines():
-            fh.write(line + "\n")
 
 
 @lru_cache(maxsize=None)

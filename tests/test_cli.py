@@ -366,6 +366,27 @@ def test_triangle_mod_m_rows_are_bounded(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_triangle_mod_m_rows_are_weighed_by_modulus_words(capsys, monkeypatch):
+    # R rows mod m of w 30-bit words are refused when R * R * w exceeds the
+    # bound squared, before any work; the message names the weighed bound.
+    # The benchmark's moduli, 2 to 64, are one word and keep every row.
+    monkeypatch.setattr(cli, "MAX_TRIANGLE_ROWS", 5)
+    cases = [(2, 5), (64, 5), (2**30 - 1, 5), (2**30, 3), (2**60, 2), (2**120, 2), (2**720, 1)]
+    for m, bound in cases:
+        argv = ["triangle", "--rows", str(bound), "--mod", str(m), "--format", "json"]
+        assert run(capsys, *argv) == (
+            0, render(RenderSpec(rows=bound, modulus=m, format="json")), "")
+    monkeypatch.setattr(cli, "MAX_TRIANGLE_ROWS", 1000)
+    monkeypatch.setattr(cli, "render", lambda spec: "")
+    for m in range(2, 65):
+        assert run(capsys, "triangle", "--rows", "1000", "--mod", str(m)) == (0, "", "")
+    monkeypatch.setattr(cli, "MAX_TRIANGLE_ROWS", 5)
+    monkeypatch.setattr(cli, "render", None)
+    for m, bound in cases:
+        assert run(capsys, "triangle", "--rows", str(bound + 1), "--mod", str(m)) == (
+            2, "", f"error: rows must be <= {bound} for a triangle mod m, got {bound + 1}\n")
+
+
 @pytest.fixture
 def str_digits_640():
     # 640 is the smallest limit Python accepts.
@@ -423,6 +444,72 @@ def test_triangle_render_failure_leaves_out_as_it_was(tmp_path, capsys, monkeypa
         assert code == 2 and out_text == "" and "render failed" in err
     assert list(tmp_path.iterdir()) == [earlier]
     assert earlier.read_bytes() == b"an earlier triangle\n"
+
+
+def _report(p, rows):
+    return (f'{{"p": {p}, "rows": {rows}, "method": "carry"}}\n'
+            '{"counterexamples": 0, "seconds": null}\n').encode()
+
+
+def test_out_replaces_a_longer_file(tmp_path, capsys):
+    # The report is opened for appending before the work, so an earlier file
+    # longer than the new output must be emptied before the write, not
+    # appended to or overwritten in place.
+    target = tmp_path / "out"
+    cases = [
+        (["verify", "--prime", "7", "--rows", "40"], _report(7, 40)),
+        (["triangle", "--rows", "6", "--mod", "3", "--format", "pgm"],
+         render(RenderSpec(rows=6, modulus=3, format="pgm")).encode()),
+    ]
+    for argv, want in cases:
+        target.write_bytes(b"an earlier, longer file\n" * 1000)
+        code, _, err = run(capsys, *argv, "--out", str(target))
+        assert (code, err) == (0, ""), argv
+        assert target.read_bytes() == want, argv
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+@pytest.mark.parametrize("case, argv, code", [
+    ("success", ["verify", "--prime", "7", "--rows", "40"], 0),
+    ("success", ["triangle", "--rows", "8"], 0),
+    ("refusal", ["verify", "--prime", "11", "--rows", "50"], 2),
+    ("oracle mismatch", ["verify", "--prime", "7", "--rows", "40"], 2),
+    ("render failure", ["triangle", "--rows", "8"], 2),
+])
+def test_out_leaves_no_descriptor_open(case, argv, code, tmp_path, capsys, monkeypatch, request):
+    # The report is a raw descriptor, which raises no ResourceWarning when it
+    # leaks, so the process's open descriptors are compared instead, for a
+    # fresh path and for an earlier file.
+    if case == "oracle mismatch":
+        request.getfixturevalue("corrupt_oracle")
+    if case == "render failure":
+        monkeypatch.setattr(cli, "render", lambda spec: 1 / 0)
+    earlier = tmp_path / "earlier"
+    earlier.write_bytes(b"an earlier file\n")
+    for target in (tmp_path / "fresh", earlier):
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert run(capsys, *argv, "--out", str(target))[0] == code
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert target.exists() == (code == 0 or target == earlier)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--prime", "7", "--rows", "30"],
+    ["triangle", "--rows", "8", "--format", "svg", "--mod", "4"],
+])
+def test_out_to_dev_stdout_in_a_fresh_process(argv):
+    # /dev/stdout is a pipe here: it holds no bytes, and is never emptied.
+    done = subprocess.run([sys.executable, "-m", "fibonomial", *argv, "--out", "/dev/stdout"],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": SRC},
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    if argv[0] == "verify":
+        report, summary, wrote = done.stdout.rsplit(b"\n", 3)[:3]
+        assert report + b"\n" == _report(7, 30)
+        assert summary.startswith(b"p=7 rows=30 method=carry counterexamples=0 seconds=")
+        assert wrote == b"wrote /dev/stdout"
+    else:
+        assert done.stdout == render(RenderSpec(rows=8, modulus=4, format="svg")).encode()
 
 
 # Each library name cli binds lazily, and a command whose handler calls it.

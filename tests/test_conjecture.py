@@ -1,5 +1,4 @@
 import concurrent.futures
-import io
 import json
 import math
 import random
@@ -653,9 +652,24 @@ def test_sweep_record_jsonl_schema():
     assert json.loads(lines[2]) == {"p": 11, "n": 100, "k": 20,
                                     "lhs": True, "rhs": True, "agree": True}
     assert json.loads(lines[3]) == {"counterexamples": 2, "seconds": None}
-    fh = io.StringIO()
-    record.write_jsonl(fh)
-    assert fh.getvalue() == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("p, rows", [(2, 0), (7, 365), (103, 1), (100049, 10**9)])
+def test_sweep_record_lines_are_the_json_dumps_text(p, rows):
+    # The lines are written as literal text; each must be byte for byte what
+    # json.dumps gives for its object.
+    verdicts = tuple(ConjectureVerdict.compare(p, n, k, lhs, rhs)
+                     for n, k, lhs, rhs in [(rows, 3, False, True), (rows + 1, 0, True, True),
+                                            (5, 2, False, False), (9, 4, True, False)])
+    for counterexamples in ((), verdicts):
+        record = SweepRecord(p, rows, counterexamples, 0.5)
+        assert record.jsonl_lines() == [
+            json.dumps({"p": p, "rows": rows, "method": "carry"}),
+            *(json.dumps({"p": v.p, "n": v.n, "k": v.k, "lhs": v.lhs_divisible,
+                          "rhs": v.rhs_divisible, "agree": v.agrees})
+              for v in counterexamples),
+            json.dumps({"counterexamples": len(counterexamples), "seconds": None}),
+        ]
 
 
 def test_fib_mod_periodicity_supports_shift():
