@@ -106,20 +106,25 @@ def _check_cap(n: int, cap: int, what: str) -> None:
 @contextmanager
 def _output_file(path: str) -> Iterator[Callable[[str], None]]:
     """Open path for appending before the work that fills it, and yield the
-    function that writes the finished text there: it empties the file first
-    if it holds bytes, as a pipe never does. An earlier file stays intact
-    should the work stop, and a file this open created is then removed. An
-    OSError is a usage error."""
-    created = not os.path.exists(path)
+    function that writes the finished text there: it empties an earlier
+    file first if it holds bytes, as a pipe never does. An earlier file
+    stays intact should the work stop, and a file this open created is then
+    removed. The open tries to create the file exclusively first, so a new
+    file costs no existence check and no size check. An OSError is a usage
+    error."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            fd, created = os.open(path, flags | os.O_EXCL), True
+        except FileExistsError:
+            fd, created = os.open(path, flags), False
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
     def write(text: str) -> None:
         view = memoryview(text.encode("ascii"))
         try:
-            if os.fstat(fd).st_size:
+            if not created and os.fstat(fd).st_size:
                 os.ftruncate(fd, 0)
             while view:
                 view = view[os.write(fd, view):]
@@ -284,9 +289,14 @@ class _Arg(NamedTuple):
 def _jobs_help() -> str:
     from .conjecture import MIN_SPAN_PAIRS
 
+    # The fewest blocks c whose c(c + 1)/2 pairs reach the floor.
+    c = isqrt(4 * MIN_SPAN_PAIRS)
+    c += c * (c + 1) < 4 * MIN_SPAN_PAIRS
     return ("at most this many worker processes, never more than the rows; "
             "each sweeps one contiguous span of rows. A sweep of fewer than "
-            f"{2 * MIN_SPAN_PAIRS:,} pairs (22,000 rows) runs in process "
+            f"{2 * MIN_SPAN_PAIRS:,} pairs of blocks of z rows, z the entry "
+            f"point, runs in process: a pool starts from {c:,} blocks, "
+            f"{3 * c - 2:,} rows at p = 2 and {8 * c - 7:,} at p = 7 "
             "(default: 1, in process)")
 
 

@@ -3,9 +3,11 @@
 The conjecture under test: for a prime p whose entry point z is not below
 p, p divides the fibonomial coefficient on (n, k) exactly when p divides
 the product of the digitwise fibonomial coefficients of n and k expanded
-in the entry-point base. Sweeps build the carry test, which for these
-primes is both sides, row by row; for primes with z < p the biconditional
-provably fails and a constructive witness is produced instead.
+in the entry-point base. Sweeps check the carry test, which for these
+primes is both sides, against the exact oracle; as only the F_{mz} carry p,
+both are read off the quotient by z, one packed row per block of z rows.
+For primes with z < p the biconditional provably fails and a constructive
+witness is produced instead.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import repeat, zip_longest
 from math import isqrt
 
 from . import radix
-from .radix import expand_base_fp
+from .radix import expand_base_fp, expand_base_p
 from .valuation import PrimeProfile, Relation, carry_valuation, fibotorial_valuations
 
 # Re-exported: perfbench/tracing.py wraps it under this module's name.
@@ -89,8 +91,9 @@ def digit_product_divisible(n: int, k: int, profile: PrimeProfile) -> bool:
     return _pairs_divisible(nd, kd, profile)
 
 
-# 100,000 rows are 5 * 10**9 pairs, 25 times the pairs of 20,000 rows, which
-# a serial sweep at p = 7 checked in under 2 s: about a minute of work.
+# 100,000 rows are 5 * 10**9 pairs. A serial sweep of them took 2.8 s at
+# p = 7 and 11.9 s at p = 2, where the blocks of z rows are smallest
+# (fresh processes, medians of 5, BENCH_pool.json).
 MAX_SWEEP_ROWS = 100_000
 
 
@@ -124,7 +127,7 @@ def verify_conjecture(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> Swe
 
     start = time.perf_counter()
     prefix = fibotorial_valuations(max(rows - 1, 0), profile.p)
-    spans = _row_chunks(rows, jobs)
+    spans = _row_chunks(rows, jobs, profile.p_star)
     work = (repeat(profile), [lo for lo, _ in spans], [hi for _, hi in spans],
             repeat(prefix))
     if len(spans) <= 1:
@@ -139,25 +142,27 @@ def verify_conjecture(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> Swe
     return SweepRecord(profile.p, rows, (), time.perf_counter() - start)
 
 
-# Fresh `verify --jobs 2` first beat `--jobs 1` at all of p = 7, 163, 10007
-# and 20023 at 22,000 rows, R(R + 1)/4 pairs a worker (BENCH_pool.json).
-# A pair is cheaper where the oracle's fields are narrower, so p = 7 already
-# won from 8,000 rows while p = 20023 still lost at 20,000: one pair count
-# fits no prime exactly. Only two workers were measured, so the floor
-# decides whether a pool starts, not its size.
-MIN_SPAN_PAIRS = 22000 * 22001 // 4
+# A sweep packs one row per block of z rows, so the floor counts pairs of
+# blocks: c(c + 1)/4 a worker at c = 6,250, from which fresh `verify --jobs
+# 2` beat `--jobs 1` at every measured row count at both p = 2 and p = 7
+# (BENCH_pool.json); p = 163 and 10007 never reach it. Only two workers
+# were measured, so the floor decides whether a pool starts, not its size.
+MIN_SPAN_PAIRS = 6250 * 6251 // 4
 
 
-def _row_chunks(rows: int, jobs: int) -> list[tuple[int, int]]:
-    """Split [0, rows) into at most min(jobs, rows) contiguous, non-empty
-    spans of about equal pair count. Rows [0, b) hold b(b + 1)/2 pairs, so
-    the i-th of j spans ends near row rows * sqrt(i / j). A sweep of fewer
-    than 2 * MIN_SPAN_PAIRS pairs, too short to pay two workers' start-up,
-    is one span and runs in process."""
-    if rows * (rows + 1) // 2 < 2 * MIN_SPAN_PAIRS:
+def _row_chunks(rows: int, jobs: int, z: int) -> list[tuple[int, int]]:
+    """Split [0, rows) into at most min(jobs, c) contiguous, non-empty spans,
+    c = ceil(rows / z) the blocks of z rows, cut at multiples of z so that
+    no two spans sweep one quotient row. The c blocks hold c(c + 1)/2 pairs
+    of blocks, so for spans of about equal pair count the i-th of j spans
+    ends near block c * sqrt(i / j). A sweep of fewer than 2 *
+    MIN_SPAN_PAIRS such pairs, too short to pay two workers' start-up, is
+    one span and runs in process."""
+    c = -(-rows // z)
+    if c * (c + 1) // 2 < 2 * MIN_SPAN_PAIRS:
         jobs = 1
-    jobs = max(min(jobs, rows), 1)
-    ends = [isqrt(i * rows * rows // jobs) for i in range(jobs + 1)]
+    jobs = max(min(jobs, c), 1)
+    ends = [min(isqrt(i * c * c // jobs) * z, rows) for i in range(jobs + 1)]
     return [(lo, hi) for lo, hi in zip(ends, ends[1:]) if lo < hi]
 
 
@@ -171,56 +176,78 @@ def _sweep_rows(profile: PrimeProfile, lo: int, hi: int,
     base carries (Knuth and Wilf), p = 2 included: when some digit of k
     exceeds the matching digit of n. As z >= p, F_1 ... F_{z-1} are prime to
     p, so a digit factor C(a, b)_F is divisible exactly when b > a: the
-    carry bits are the digit product's. Each side of row n is an integer
-    with a (b + 1)-bit field per k; b >= 1 is the bit length of twice the
-    largest of prefix[:hi], which is packed once forwards and reversed.
-    Oracle: (2**(b-1) + prefix[n] - 1) * ones - rev, once per distinct row
-    total, shifted, plus 2**(b-1) * ones - fwd is 2**b + prefix[n] - 1 -
-    prefix[k] - prefix[n - k] in field k: bit b is set where p divides, and
-    no field borrows. Carry side: row n = q * z + u carries nowhere at k =
-    j * z + t with t <= u and j's base-p digits at or below q's. An odometer
-    over q's digits keeps those j in one integer, a shift and an add per
-    block; a row is one shift and subtraction from the last: a few
-    operations on (n + z)(b + 1)-bit integers and O(1) Python steps.
+    carry bits are the digit product's.
+
+    Only the F_{mz} carry p, so the oracle prefix[i] = nu_p(F_1 ... F_i)
+    is constant on each block [mz, mz + z); that is checked first for every
+    i < hi, and a step inside a block raises. Let Q[m] = prefix[mz] (heads
+    below), n = qz + u and k = jz + t. Where t <= u the exponent is Q[q] -
+    Q[j] - Q[q - j] and the sum carries exactly when a base-p digit of j
+    exceeds q's; where t > u it is Q[q] - Q[j] - Q[q - 1 - j], and the units
+    column carries. Every pair of the span falls in one of the two, so both
+    are checked on the quotient rows q of the span, [lo // z, ceil(hi / z)),
+    every j at once; the second only where the span holds a row of block q
+    with u < z - 1, as only then does it hold a pair with t > u.
+
+    Each side of quotient row q is an integer with a (b + 1)-bit field per
+    j; b >= 1 is the bit length of twice the largest of Q, which is packed
+    once forwards and reversed. Oracle: (2**(b-1) + Q[q] - 1) * ones - rev,
+    once per distinct total, shifted, plus 2**(b-1) * ones - fwd is 2**b +
+    Q[q] - 1 - Q[j] - Q[q - j] in field j: bit b is set where p divides, and
+    no field borrows. Shifted one field further it reads Q[q - 1 - j], and
+    then every bit b below field q must be set. Carry side: an odometer over
+    q's base-p digits keeps the j with no digit above q's in one integer, a
+    shift and an add a row. A quotient row costs a few operations on q(b +
+    1)-bit integers and O(1) Python steps. A mismatch names the first pair
+    of the span, in row-major order, that falls in a failing class.
     """
     p, z = profile.p, profile.p_star
     if lo >= hi:
         return
     x = prefix[:hi]
-    b = (2 * max(x) | 1).bit_length()
+    heads = x[::z]
+    if any(x[t::z] != heads[:len(range(t, hi, z))] for t in range(1, min(z, hi))):
+        i = next(i for i, v in enumerate(x) if v != heads[i // z])
+        raise ArithmeticError(
+            f"oracle table steps inside a block at i={i}: {x[i]} against "
+            f"{heads[i // z]} at i={i - i % z} (z={z}, p={p})")
+    first, end = lo // z, len(heads)
+    b = (2 * max(heads) | 1).bit_length()
     f, half = b + 1, 1 << b - 1
-    cell = {v: format(v, f"0{f}b") for v in set(x)}
-    rev, fwd = (int("".join(map(cell.get, y)), 2) for y in (x, reversed(x)))
-    ones = ((1 << f * hi) - 1) // ((1 << f) - 1)
+    cell = {v: format(v, f"0{f}b") for v in set(heads)}
+    rev, fwd = (int("".join(map(cell.get, y)), 2) for y in (heads, reversed(heads)))
+    ones = ((1 << f * end) - 1) // ((1 << f) - 1)
     guards, low = ones << b, half * ones - fwd
-    # levels[i]: blocks j with digits 0 below place i, at most q's from i up.
-    digits = [*expand_base_fp(lo - lo % z, profile)[1:], *[0] * hi.bit_length()]
+    # levels[i]: quotients j with digits 0 below place i, at most q's from i up.
+    digits = [*expand_base_p(first, p), *[0] * end.bit_length()]
     levels = [1 << b]
     for i in reversed(range(len(digits))):
-        levels.insert(0, sum(levels[0] << f * z * p**i * t for t in range(digits[i] + 1)))
-    mask, total = (1 << f * (lo - lo % z)) - 1, None
-    for base in range(lo - lo % z, hi, z):
-        below, mask = mask, (1 << f * (base + z)) - 1
-        nj, row, part = levels[0] & below, guards & below, low & mask
-        if lo > base:
-            row -= ((nj << f * (lo - base)) - nj) & guards
-        for n in range(max(lo, base), min(hi, base + z)):
-            if prefix[n] != total:
-                total = prefix[n]
-                top = (half + total - 1) * ones - rev
-            held = ((top >> f * (hi - 1 - n)) + part) & guards
-            row -= nj << f * (n - base)
-            if held != row:
-                diff = held ^ row
-                k = ((diff & -diff).bit_length() - 1) // f
-                raise ArithmeticError(
-                    f"carry test {bool(row >> f * k + b & 1)} disagrees with oracle "
-                    f"exponent {prefix[n] - prefix[k] - prefix[n - k]} at (n={n}, k={k}, p={p})")
+        levels.insert(0, sum(levels[0] << f * p**i * t for t in range(digits[i] + 1)))
+    mask, total = (1 << f * first) - 1, None
+    for q in range(first, end):
+        below, mask = mask, (1 << f * (q + 1)) - 1
+        if heads[q] != total:
+            total = heads[q]
+            top = (half + total - 1) * ones - rev
+        high = top >> f * (end - 1 - q)
+        full = guards & below
+        carry = full - (levels[0] & below)
+        held = (high + (low & mask)) & guards
+        crossed = ((high >> f) + (low & below)) & guards
+        n = max(lo, q * z)
+        if held != carry or crossed != full and n % z < z - 1:
+            k = min(((d & -d).bit_length() - 1) // f * z + t
+                    for d, t in ((held ^ carry, 0), (crossed ^ full, n % z + 1))
+                    if d and t < z)
+            e = x[n] - x[k] - x[n - k]
+            raise ArithmeticError(
+                f"carry test {e < 1} disagrees with oracle exponent {e} "
+                f"at (n={n}, k={k}, p={p})")
         i = 0
         while digits[i] == p - 1:
             digits[i], i = 0, i + 1
         digits[i] += 1
-        levels[i] += levels[i + 1] << f * z * p**i * digits[i]
+        levels[i] += levels[i + 1] << f * p**i * digits[i]
         levels[:i] = [levels[i]] * i
 
 

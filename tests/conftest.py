@@ -4,21 +4,19 @@ holds the fixtures that more than one test module uses."""
 import pytest
 
 import fibonomial.conjecture as conjecture
-
-
-class _RowTotalOffByOne(tuple):
-    """An oracle prefix table whose total for row 8, read by index, is one
-    too high; the slices a sweep reads each row's terms from are right."""
-
-    def __getitem__(self, i):
-        value = tuple.__getitem__(self, i)
-        return value + 1 if i == 8 else value
+from fibonomial.valuation import entry_point
 
 
 @pytest.fixture
 def corrupt_oracle(monkeypatch):
-    """Hand every sweep the prefix table above. At p = 7 the oracle then
-    calls (8, 0) divisible, which the carry test does not."""
+    """Hand every sweep the exact prefix table with its second block of z
+    rows, [z, 2z), one too high: the table still steps only at multiples
+    of z, so no block-step check catches it. At p = 7 the oracle then calls
+    (16, 1) not divisible, where 1 + 15 carries in the units column."""
     oracle = conjecture.fibotorial_valuations
-    monkeypatch.setattr(conjecture, "fibotorial_valuations",
-                        lambda limit, p: _RowTotalOffByOne(oracle(limit, p)))
+
+    def raised(limit, p):
+        z = entry_point(p).p_star
+        return tuple(v + (z <= i < 2 * z) for i, v in enumerate(oracle(limit, p)))
+
+    monkeypatch.setattr(conjecture, "fibotorial_valuations", raised)

@@ -187,9 +187,9 @@ def test_acceptance_8_self_similarity_and_period():
 
 
 def test_acceptance_9_parallel_determinism(tmp_path):
-    # The shortest sweep whose --jobs 8 plan starts a real pool.
-    rows = 22000
-    assert len(conjecture._row_chunks(rows, 8)) >= 2
+    # The shortest sweep at p = 7 whose --jobs 8 plan starts a real pool.
+    rows = 49993
+    assert len(conjecture._row_chunks(rows, 8, 8)) >= 2
     files = []
     for jobs in (1, 8):
         out = tmp_path / f"sweep_jobs{jobs}.jsonl"

@@ -468,6 +468,25 @@ def test_out_replaces_a_longer_file(tmp_path, capsys):
         assert target.read_bytes() == want, argv
 
 
+def test_out_creates_a_fresh_file_without_checks(tmp_path, capsys, monkeypatch):
+    # A fresh --out path is created by one exclusive open, and is neither
+    # looked up first nor sized before the write. An earlier file fails
+    # that open, is opened plainly, and is sized before it is emptied.
+    calls = []
+    real_open, real_fstat, real_exists = os.open, os.fstat, os.path.exists
+    monkeypatch.setattr(os, "open", lambda path, flags, *args: calls.append(
+        ("open", bool(flags & os.O_EXCL))) or real_open(path, flags, *args))
+    monkeypatch.setattr(os, "fstat", lambda fd: calls.append("fstat") or real_fstat(fd))
+    monkeypatch.setattr(os.path, "exists",
+                        lambda path: calls.append("exists") or real_exists(path))
+    target = tmp_path / "out"
+    for want in ([("open", True)], [("open", True), ("open", False), "fstat"]):
+        calls.clear()
+        assert run(capsys, "verify", "--prime", "7", "--rows", "40", "--out", str(target))[0] == 0
+        assert calls == want
+        assert target.read_bytes() == _report(7, 40)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
 @pytest.mark.parametrize("case, argv, code", [
     ("success", ["verify", "--prime", "7", "--rows", "40"], 0),
@@ -831,7 +850,7 @@ def test_verify_usage_errors(tmp_path, capsys):
 
 def test_verify_sweeps_in_process_by_default():
     # A sweep uses worker processes only when asked to, and then only from
-    # the measured 22,000 rows up.
+    # the measured floor up.
     assert build_parser().parse_args(["verify", "--prime", "7"]).jobs == 1
 
 

@@ -4,7 +4,7 @@ import math
 import random
 import re
 import tracemalloc
-from itertools import accumulate, zip_longest
+from itertools import accumulate, product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +27,14 @@ from fibonomial.core import (
     fibonomial_row_mod,
     iter_fibonomial_rows_mod,
 )
-from fibonomial.radix import expand_base_fp
-from fibonomial.valuation import Relation, entry_point, fibotorial_valuations, is_prime
+from fibonomial.radix import expand_base_p
+from fibonomial.valuation import (
+    Relation,
+    entry_point,
+    fibotorial_valuations,
+    is_prime,
+    nu_p_fibotorial,
+)
 
 from oracles import (
     digits_le,
@@ -117,7 +123,7 @@ def test_verify_conjecture_method_and_relation_guards():
 def test_verify_conjecture_parallel_matches_serial(monkeypatch):
     # A floor of one pair a span lets 90 rows start a real pool.
     monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
-    assert len(conjecture._row_chunks(90, 3)) >= 2
+    assert len(conjecture._row_chunks(90, 3, 8)) >= 2
     prof = entry_point(7)
     serial = verify_conjecture(prof, 90, jobs=1)
     parallel = verify_conjecture(prof, 90, jobs=3)
@@ -128,36 +134,42 @@ def test_verify_conjecture_parallel_matches_serial(monkeypatch):
 def test_row_chunks_split_rows_into_balanced_spans(monkeypatch):
     # jobs = 10**9 returns at once: the split costs O(min(jobs, rows)). The
     # lowered floors put the step from one span to a pool inside the rows
-    # tried.
-    for floor in (1, 2, 7, 100, conjecture.MIN_SPAN_PAIRS):
+    # tried. Spans are cut at multiples of z and balanced in pairs of
+    # blocks of z rows, the quotient pairs a sweep packs.
+    for z, floor in product((1, 3, 8), (1, 2, 7, 100, conjecture.MIN_SPAN_PAIRS)):
         monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", floor)
-        for rows in range(61):
-            total = rows * (rows + 1) // 2
+        for rows in range(61 * z):
+            blocks = -(-rows // z)
+            total = blocks * (blocks + 1) // 2
             for jobs in (*range(1, 10), rows, rows + 1, 10 ** 9):
-                spans = conjecture._row_chunks(rows, jobs)
+                spans = conjecture._row_chunks(rows, jobs, z)
                 assert [n for lo, hi in spans for n in range(lo, hi)] == list(range(rows))
-                assert all(lo < hi for lo, hi in spans)
-                assert len(spans) <= min(jobs, rows)
+                assert all(lo < hi and lo % z == 0 for lo, hi in spans)
+                assert len(spans) <= min(jobs, blocks)
                 if total < 2 * floor:
                     assert len(spans) == min(rows, 1)
                 else:
                     assert len(spans) >= min(jobs, 2)
-                pairs = [(hi * (hi + 1) - lo * (lo + 1)) // 2 for lo, hi in spans]
-                assert all(x <= total / len(spans) + rows for x in pairs), (rows, jobs, spans)
+                pairs = [(-(-hi // z) * (-(-hi // z) + 1) - lo // z * (lo // z + 1)) // 2
+                         for lo, hi in spans]
+                assert all(x <= total / len(spans) + blocks for x in pairs), (rows, jobs, spans)
 
 
 def test_row_chunks_start_a_pool_at_the_measured_floor():
-    # The floor is the pairs per worker of the shortest sweep at which two
-    # workers beat one: 22,000 rows. From there on a sweep gets one worker
-    # per job, as many as it asks for.
-    assert conjecture.MIN_SPAN_PAIRS == 22000 * 22001 // 4
-    for jobs in (1, 2, 8, 10 ** 9):
-        assert len(conjecture._row_chunks(21999, jobs)) == 1
-    for rows in (22000, 24000, 30000, 40000):
-        assert [len(conjecture._row_chunks(rows, jobs)) for jobs in (1, 2, 3, 8)] == [1, 2, 3, 8]
-    assert len(conjecture._row_chunks(22000, 10 ** 9)) > 8
+    # The floor is the quotient pairs per worker of the shortest sweep at
+    # which two workers beat one at every longer one measured: 6,250 blocks
+    # of z rows. From there on a sweep gets one worker per job, as many as
+    # it asks for.
+    assert conjecture.MIN_SPAN_PAIRS == 6250 * 6251 // 4
+    for z in (3, 8, 164):
+        for jobs in (1, 2, 8, 10 ** 9):
+            assert len(conjecture._row_chunks(6249 * z, jobs, z)) == 1
+        for rows in (6249 * z + 1, 6250 * z, 7000 * z, 9000 * z):
+            assert [len(conjecture._row_chunks(rows, jobs, z))
+                    for jobs in (1, 2, 3, 8)] == [1, 2, 3, 8]
+        assert len(conjecture._row_chunks(6250 * z, 10 ** 9, z)) > 8
     for rows in (0, 1, 900):
-        assert len(conjecture._row_chunks(rows, 1)) == min(rows, 1)
+        assert len(conjecture._row_chunks(rows, 1, 8)) == min(rows, 1)
 
 
 class _InProcessPool:
@@ -184,10 +196,10 @@ def test_verify_conjecture_pool_has_one_worker_per_span(rows, jobs, monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
-    assert len(conjecture._row_chunks(rows, jobs)) >= 2
+    assert len(conjecture._row_chunks(rows, jobs, 8)) >= 2
     prof = entry_point(7)
     pooled = verify_conjecture(prof, rows, jobs=jobs)
-    assert _InProcessPool.sizes == [len(conjecture._row_chunks(rows, jobs))]
+    assert _InProcessPool.sizes == [len(conjecture._row_chunks(rows, jobs, 8))]
     assert _InProcessPool.sizes[0] <= min(rows, jobs)
     serial = verify_conjecture(prof, rows, jobs=1)
     assert pooled.jsonl_lines() == serial.jsonl_lines()
@@ -195,8 +207,8 @@ def test_verify_conjecture_pool_has_one_worker_per_span(rows, jobs, monkeypatch)
 
 
 def test_verify_conjecture_short_sweep_starts_no_pool(monkeypatch):
-    # 900 rows are far below the 22,000 at which a pool pays for its
-    # start-up, so --jobs 8 sweeps in process.
+    # 900 rows are far below the 49,993 at which a pool pays for its
+    # start-up at p = 7, so --jobs 8 sweeps in process.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     prof = entry_point(7)
@@ -206,18 +218,19 @@ def test_verify_conjecture_short_sweep_starts_no_pool(monkeypatch):
 
 
 def _sweeps_agree(p, rows, method="oracle", stride=0):
-    # The sweep passes its oracle check whole and in three spans, and the
-    # per-pair reference, which computes the digit product on its own,
-    # finds no disagreement. method and stride choose how the reference
-    # takes its left-hand side; the sweep itself has one path.
+    # The sweep passes its oracle check whole and in three spans (fewer
+    # where the rows hold fewer blocks of z), and the per-pair reference,
+    # which computes the digit product on its own, finds no disagreement.
+    # method and stride choose how the reference takes its left-hand side;
+    # the sweep itself has one path.
     profile = entry_point(p)
     prefix = conjecture.fibotorial_valuations(rows - 1, p)
     assert conjecture._sweep_rows(profile, 0, rows, prefix) is None
     # A floor of one pair a span gives a short sweep three spans too.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
-        spans = conjecture._row_chunks(rows, 3)
-    assert len(spans) == 3
+        spans = conjecture._row_chunks(rows, 3, profile.p_star)
+    assert len(spans) == min(3, -(-rows // profile.p_star))
     for lo, hi in spans:
         assert conjecture._sweep_rows(profile, lo, hi, prefix) is None
     assert sweep_rows_per_pair(profile, 0, rows, prefix, method, stride) == []
@@ -271,6 +284,43 @@ def test_sweep_rows_matches_per_pair_loop_at_place_values(p, lo, hi):
     assert bad == []
 
 
+# The 17 primes below 400 whose entry point is at least the prime.
+DENSE_PRIMES = [2, 3, 5, 7, 23, 43, 67, 83, 103, 127, 163, 167, 223, 227, 283, 367, 383]
+
+
+def _spans_around_blocks(p):
+    # Spans ending at z - 1, z, z + 1, z * p - 1, z * p + 1 and 300: up to
+    # 300 rows, whole from row 0 and from inside a block, one row into the
+    # last block or past the middle of block 0; past that, the last row
+    # alone, z * p - 2 inside a block and z * p at its start.
+    z = entry_point(p).p_star
+    for hi in sorted({z - 1, z, z + 1, z * p - 1, z * p + 1, 300}):
+        if hi > 300:
+            yield hi - 1, hi
+            continue
+        yield 0, hi
+        if (lo := max((hi - 1) // z * z, z // 2) + 1) < hi:
+            yield lo, hi
+
+
+@pytest.mark.parametrize("p", DENSE_PRIMES)
+def test_sweep_rows_matches_per_pair_loop_around_blocks(p):
+    # The sweep checks quotient rows, so block edges and the first place
+    # value z * p are where a wrong quotient range, units class or odometer
+    # start would show. Past 300 rows the table is the closed form, which
+    # test_fibotorial_valuation_matches_prefix_table_dense checks against
+    # the exact one: building that for z * p + 1 = 147,073 rows takes
+    # seconds.
+    assert DENSE_PRIMES == [q for q in range(400) if is_prime(q) and entry_point(q).p_star >= q]
+    profile = entry_point(p)
+    exact = conjecture.fibotorial_valuations(299, p)
+    closed = tuple(nu_p_fibotorial(i, profile) for i in range(profile.p_star * p + 1))
+    for lo, hi in _spans_around_blocks(p):
+        prefix = exact if hi <= 300 else closed
+        assert conjecture._sweep_rows(profile, lo, hi, prefix) is None, (lo, hi)
+        assert sweep_rows_per_pair(profile, lo, hi, prefix) == [], (lo, hi)
+
+
 @given(st.sampled_from(SWEEP_PRIMES), st.integers(0, 700), st.integers(1, 12))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_sweep_rows_matches_per_pair_loop_sampled(p, lo, rows):
@@ -301,11 +351,22 @@ def _assert_sweep_flags_changed_verdicts(p, lo, hi, table):
         conjecture._sweep_rows(entry_point(p), lo, hi, tuple(table))
 
 
+def _first_step_in_block(table, z):
+    # The first index whose entry differs from that at the start of its
+    # block of z, or None.
+    return next((i for i, v in enumerate(table) if v != table[i - i % z]), None)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 23])
 def test_sweep_rows_raises_exactly_where_a_bumped_entry_changes_a_verdict(p):
     # Each single entry of the table over 4z + 7 rows, raised by one and,
-    # where positive, lowered by one, on the whole span and on one that
-    # opens inside a block.
+    # where positive, lowered by one, makes the table step inside a block:
+    # the sweep raises at the first index that does, whatever the verdicts.
+    # Each whole block, and each block with all that follow it, raised and
+    # lowered by one keeps the table constant on blocks: the sweep passes
+    # where every verdict holds and otherwise names the first pair that
+    # changed. Both on the whole span and on spans that open inside a block,
+    # one at its last row, where no pair has a larger units digit of k.
     z = entry_point(p).p_star
     rows = 4 * z + 7
     true = conjecture.fibotorial_valuations(rows - 1, p)
@@ -313,22 +374,71 @@ def test_sweep_rows_raises_exactly_where_a_bumped_entry_changes_a_verdict(p):
         for step in (1, -1):
             table = list(true)
             table[i] += step
-            if table[i] >= 0:
-                for lo in (0, 2 * z + 1):
+            if table[i] < 0:
+                continue
+            step_at = _first_step_in_block(table, z)
+            for lo in (0, 2 * z + 1):
+                if step_at is None:  # the lone entry of the last block
                     _assert_sweep_flags_changed_verdicts(p, lo, rows, table)
+                    continue
+                m = step_at - step_at % z
+                message = (f"oracle table steps inside a block at i={step_at}: "
+                           f"{table[step_at]} against {table[m]} at i={m} (z={z}, p={p})")
+                with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+                    conjecture._sweep_rows(entry_point(p), lo, rows, tuple(table))
+    for m in range(0, rows, z):
+        for end in (m + z, rows):
+            for step in (1, -1):
+                table = [v + step * (m <= i < end) for i, v in enumerate(true)]
+                if min(table) >= 0:
+                    for lo in (0, 2 * z + 1, 3 * z - 1):
+                        _assert_sweep_flags_changed_verdicts(p, lo, rows, table)
+
+
+@pytest.mark.parametrize("p", DENSE_PRIMES)
+def test_sweep_rows_catches_every_single_entry_change(p):
+    # Every entry of the exact table over 4z + 7 rows, raised and lowered
+    # by one, on a span that opens inside block 2: the sweep raises, for
+    # entries below the span too. The one entry it may pass is one alone in
+    # the last block, which no block step shows, and then only if every
+    # verdict holds.
+    z = entry_point(p).p_star
+    rows = 4 * z + 7
+    true = conjecture.fibotorial_valuations(rows - 1, p)
+    for i in range(rows):
+        for step in (1, -1):
+            table = list(true)
+            table[i] += step
+            if i == rows - 1 == i - i % z:
+                _assert_sweep_flags_changed_verdicts(p, 2 * z + 1, rows, table)
+                continue
+            with pytest.raises(ArithmeticError):
+                conjecture._sweep_rows(entry_point(p), 2 * z + 1, rows, tuple(table))
 
 
 def _table_topped_at(top, rng):
-    # a * x + c * i keeps every verdict of x, and is largest at the last
-    # index: draw p and rows until a, c put that value exactly at top.
+    # a * x + c * z * (i // z) keeps every verdict of x: the second term
+    # adds c * z to the exponent of a pair whose units column carries, and
+    # 0 to any other. It is constant on blocks of z, like x, and largest at
+    # the last index: draw p and rows until a, c put that value exactly at
+    # top.
     while True:
         p = rng.choice([2, 3, 5, 7, 23])
-        rows = rng.randint(2, 4 * entry_point(p).p_star + 7)
+        z = entry_point(p).p_star
+        rows = rng.randint(z + 1, 4 * z + 7)
         x = conjecture.fibotorial_valuations(rows - 1, p)
-        for a in range(1, rows):
-            if a * x[-1] <= top and (top - a * x[-1]) % (rows - 1) == 0:
-                c = (top - a * x[-1]) // (rows - 1)
-                return p, [a * v + c * i for i, v in enumerate(x)]
+        step = z * ((rows - 1) // z)
+        for a in range(1, step + 1):
+            if a * x[-1] <= top and (top - a * x[-1]) % step == 0:
+                c = (top - a * x[-1]) // step
+                return p, [a * v + c * z * (i // z) for i, v in enumerate(x)]
+
+
+def _raise_block(table, z, rng, value=None):
+    # One whole block of z entries raised by one, or set to value.
+    m = rng.randrange(0, len(table), z)
+    for i in range(m, min(m + z, len(table))):
+        table[i] = table[i] + 1 if value is None else value
 
 
 def test_sweep_rows_oracle_at_every_field_width():
@@ -336,21 +446,22 @@ def test_sweep_rows_oracle_at_every_field_width():
     # the guard bit b moves up one when that value reaches 2**w, for every
     # w. Seeded tables with the same verdicts as the exact one, their
     # largest value at 2**w - 1 and at 2**w, pass whole and from a random
-    # row; the same tables with one entry raised by one, and exact tables
-    # with one entry set to that largest value, so that rows after it have
+    # row; the same tables with one block raised by one, and exact tables
+    # with one block set to that largest value, so that rows after it have
     # smaller totals, raise exactly where a verdict changes.
     rng = random.Random(23)
     for w in range(1, 65):
         for top in (2 ** w - 1, 2 ** w):
             p, table = _table_topped_at(top, rng)
+            z = entry_point(p).p_star
             assert max(table) == top
             lo = rng.randrange(len(table))
             for start in (0, lo):
                 _assert_sweep_flags_changed_verdicts(p, start, len(table), table)
-            table[rng.randrange(len(table))] += 1
+            _raise_block(table, z, rng)
             _assert_sweep_flags_changed_verdicts(p, lo, len(table), table)
             table = list(conjecture.fibotorial_valuations(len(table) - 1, p))
-            table[rng.randrange(len(table))] = top
+            _raise_block(table, z, rng, top)
             _assert_sweep_flags_changed_verdicts(p, 0, len(table), table)
 
 
@@ -410,7 +521,7 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
     monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
     assert entry_point(10007).p_star == 10008
     _sweeps_agree(10007, 30, method, 1)
-    assert packed == [30] + [hi for _, hi in conjecture._row_chunks(30, 3)]
+    assert packed == [30] + [hi for _, hi in conjecture._row_chunks(30, 3, 10008)]
 
 
 def test_sweep_rows_past_entry_point_on_large_prime_builds_no_table():
@@ -434,21 +545,22 @@ def test_sweep_rows_past_entry_point_on_large_prime_builds_no_table():
 
 
 def test_oracle_stride_catches_wrong_carry_valuation(corrupt_oracle):
-    # Every pair is checked against the oracle: (8, 0), pair number 36 in
+    # Every pair is checked against the oracle: (16, 1), pair number 137 in
     # row-major order, is one that a check of every 37th pair skipped.
-    with pytest.raises(ArithmeticError, match=r"disagrees with oracle .* \(n=8, k=0, p=7\)"):
+    with pytest.raises(ArithmeticError, match=r"^carry test True disagrees with oracle "
+                                              r"exponent 0 at \(n=16, k=1, p=7\)$"):
         verify_conjecture(entry_point(7), 40)
 
 
 def test_oracle_stride_catches_wrong_carry_test(monkeypatch):
-    # A span from row 64 = 8 * (1 1) starts its odometer from the digits
-    # of 64. Give it those of 56 = 8 * (0 1): block 1 then seems to hold a
-    # digit above q's, so the carry test reports a carry in 8 + 56, which
-    # has none.
-    def wrong_digits(n, profile):
-        return (0, 0, 1) if n == 64 else expand_base_fp(n, profile)
+    # A span from row 64 = 8 * 8 starts its odometer from the base-7 digits
+    # (1 1) of its quotient row 8 = 64 // 8. Give it those of 7, (0 1):
+    # block 1 then seems to hold a digit above q's, so the carry test
+    # reports a carry in 8 + 56, which has none.
+    def wrong_digits(n, p):
+        return (0, 1) if n == 8 else expand_base_p(n, p)
 
-    monkeypatch.setattr(conjecture, "expand_base_fp", wrong_digits)
+    monkeypatch.setattr(conjecture, "expand_base_p", wrong_digits)
     prefix = conjecture.fibotorial_valuations(79, 7)
     with pytest.raises(ArithmeticError, match=r"^carry test True disagrees with oracle "
                                               r"exponent 0 at \(n=64, k=8, p=7\)$"):
@@ -456,36 +568,39 @@ def test_oracle_stride_catches_wrong_carry_test(monkeypatch):
 
 
 def test_sweep_rows_expands_only_its_own_rows(monkeypatch):
-    # A span expands the digits of its first block's first row once, and
-    # the odometer carries them through its later blocks, so a pooled
-    # worker whose span starts high does no digit work for the rows below
-    # it, and none per block.
+    # A span expands the base-p digits of its first quotient row, 25 = 200
+    # // 8, once, and the odometer carries them through its later quotient
+    # rows, so a pooled worker whose span starts high does no digit work
+    # for the rows below it, and none per block.
     seen = []
 
-    def recording(n, profile):
+    def recording(n, p):
         seen.append(n)
-        return expand_base_fp(n, profile)
+        return expand_base_p(n, p)
 
-    monkeypatch.setattr(conjecture, "expand_base_fp", recording)
+    monkeypatch.setattr(conjecture, "expand_base_p", recording)
     profile = entry_point(7)
     prefix = conjecture.fibotorial_valuations(459, 7)
     for lo in (200, 203):
         seen.clear()
         assert conjecture._sweep_rows(profile, lo, 460, prefix) is None
-        assert seen == [200]
+        assert seen == [25]
     assert sweep_rows_per_pair(profile, 200, 460, prefix) == []
 
 
 def test_oracle_mismatch_at_interior_k_names_pair_and_exponent():
-    # Lower the oracle's nu_7(F_1 ... F_10) by one and sweep from row 21:
-    # 10 + 11 carries nowhere in the entry-point base (8, 7, ...), yet the
-    # oracle then reads exponent 1 at k = 10, the first k of row 21 whose
-    # terms it changes.
-    prefix = list(conjecture.fibotorial_valuations(39, 7))
-    prefix[10] -= 1
-    with pytest.raises(ArithmeticError, match=r"^carry test False disagrees with oracle "
-                                              r"exponent 1 at \(n=21, k=10, p=7\)$"):
-        conjecture._sweep_rows(entry_point(7), 21, 40, tuple(prefix))
+    # Move the oracle's block [8, 16) of p = 7 by one and sweep from row 21
+    # = 2 * 8 + 5. Lowered, 8 + 13 carries nowhere in the entry-point base
+    # (8, 7, ...), yet the oracle reads exponent 2 at k = 8, the first k of
+    # row 21 whose quotient terms it changes. Raised, 6 + 15 carries in the
+    # units column, yet the oracle reads exponent 0 at k = 6, the first k
+    # past 5 whose terms it changes.
+    for step, verdict, exponent, k in [(-1, False, 2, 8), (1, True, 0, 6)]:
+        prefix = list(conjecture.fibotorial_valuations(39, 7))
+        prefix[8:16] = [v + step for v in prefix[8:16]]
+        with pytest.raises(ArithmeticError, match=f"^carry test {verdict} disagrees with oracle "
+                                                  rf"exponent {exponent} at \(n=21, k={k}, p=7\)$"):
+            conjecture._sweep_rows(entry_point(7), 21, 40, tuple(prefix))
 
 
 @pytest.mark.parametrize("p, witness", [
