@@ -13,7 +13,7 @@ _MODULES = {
     "conjecture": "ConjectureVerdict SweepRecord digit_product_divisible "
                   "find_counterexample verify_conjecture",
     "core": "TriangleRow binomial fib fib_mod fibonomial fibonomial_mod "
-            "fibonomial_row_mod fibotorial",
+            "fibonomial_row_mod",
     "radix": "CarryReport add_with_carries expand_base_fp expand_base_p "
              "lucas_binomial_residue",
     "render": "RenderSpec render",

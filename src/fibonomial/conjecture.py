@@ -91,9 +91,9 @@ def digit_product_divisible(n: int, k: int, profile: PrimeProfile) -> bool:
     return _pairs_divisible(nd, kd, profile)
 
 
-# 100,000 rows are 5 * 10**9 pairs. A serial sweep of them took 2.8 s at
-# p = 7 and 11.9 s at p = 2, where the blocks of z rows are smallest
-# (fresh processes, medians of 5, BENCH_pool.json).
+# 100,000 rows are 5 * 10**9 pairs. A serial sweep of them took 0.69 s at
+# p = 7 and 5.1 s at p = 2, where the blocks of z rows are smallest
+# (fresh processes, medians of 5, BENCH_exact.json).
 MAX_SWEEP_ROWS = 100_000
 
 
@@ -117,11 +117,11 @@ def verify_conjecture(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> Swe
     """Check the biconditional at every (n, k) with 0 <= k <= n < rows.
 
     The carry test is both sides (see _sweep_rows), so the record holds no
-    disagreement; the exact big-integer oracle confirms it at every pair,
-    and a mismatch is an arithmetic bug and raises. The rows are split by
-    _row_chunks into at most jobs contiguous spans, one per worker process;
-    a sweep too short to pay for a pool is one span and runs in this
-    process. Arguments are checked by validate_sweep.
+    disagreement; the oracle table of fibotorial_valuations confirms it at
+    every pair, and a mismatch is an arithmetic bug and raises. The rows
+    are split by _row_chunks into at most jobs contiguous spans, one per
+    worker process; a sweep too short to pay for a pool is one span and
+    runs in this process. Arguments are checked by validate_sweep.
     """
     validate_sweep(profile, rows, jobs=jobs)
 

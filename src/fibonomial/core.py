@@ -1,11 +1,11 @@
-"""Exact and modular Fibonacci, fibotorial, and fibonomial arithmetic.
+"""Exact and modular Fibonacci and fibonomial arithmetic.
 
 Everything here is plain integer arithmetic: on Python ints, except exact
 triangle rows, which are integral Decimals computed in base ten. Indexing is
 1-based (F_1 = F_2 = 1); index 0 is a domain error for callers, and F_0 = 0
 appears only inside the doubling routine and as a weight of the row
-recurrence. These functions are the ground truth that the carry-counting
-fast paths elsewhere in the package are validated against.
+recurrence. No whole product F_1 ... F_n is ever multiplied out. These
+functions are the ground truth for the carry-counting fast paths elsewhere.
 """
 
 from __future__ import annotations
@@ -60,32 +60,36 @@ def _fib_pair(n: int, m: int | None = None) -> tuple[int, int]:
     return a, b
 
 
-def fibotorial(n: int) -> int:
-    """Product F_n * F_{n-1} * ... * F_1; the empty product for n = 0."""
-    if n < 0:
-        raise ValueError(f"fibotorial argument must be >= 0, got {n}")
-    out = 1
-    a, b = 1, 1
-    for _ in range(n):
-        out *= a
-        a, b = b, a + b
-    return out
-
-
 def fibonomial(n: int, k: int) -> int:
-    """Fibonomial coefficient: fibotorial(n) / (fibotorial(k) * fibotorial(n-k)).
+    """Fibonomial coefficient C(n, k)_F = F_1 ... F_n / (F_1 ... F_k * F_1 ... F_{n-k}).
 
-    Zero when k > n. The division is always exact; a nonzero remainder
-    signals an arithmetic bug, not bad input.
+    Zero when k > n. Only the window fibonomial_mod walks is multiplied out:
+    F_{n-j+1} ... F_n over F_1 ... F_j, j = min(k, n - k). The division is
+    always exact; a remainder signals an arithmetic bug, not bad input.
     """
     if n < 0 or k < 0:
         raise ValueError(f"fibonomial arguments must be >= 0, got ({n}, {k})")
     if k > n:
         return 0
-    q, r = divmod(fibotorial(n), fibotorial(k) * fibotorial(n - k))
+    j = min(k, n - k)
+    q, r = divmod(_fib_product(n - j + 1, j), _fib_product(1, j))
     if r:
         raise ArithmeticError(f"fibonomial({n}, {k}) left remainder {r}")
     return q
+
+
+def _fib_product(start: int, count: int) -> int:
+    # F_start ... F_{start+count-1}, multiplied in neighbouring pairs (an odd
+    # last one waits a round) until one is left, so each big multiplication
+    # meets operands of about equal size, where CPython's Karatsuba pays off.
+    a, b = _fib_pair(start)
+    xs = []
+    for _ in range(count):
+        xs.append(a)
+        a, b = b, a + b
+    while len(xs) > 1:
+        xs = [x * y for x, y in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+    return xs[0] if xs else 1
 
 
 def fibonomial_mod(n: int, k: int, m: int) -> int:

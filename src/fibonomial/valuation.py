@@ -4,7 +4,7 @@ The fast path, nu_p_fibotorial, reads nu_p(F_1 ... F_n) off the entry
 point in O(log n) steps for every prime, 2 included; a fibonomial valuation
 is a difference of three such sums, which for odd p is the Knuth-Wilf
 carry count in the entry-point base. The tests check it against that count
-and against the exact big-integer oracles defined here.
+and against the oracle table here, read off word-size residues of each F_i.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import fib_mod
+from .core import fib, fib_mod
 
 
 class Relation(enum.Enum):
@@ -36,12 +36,7 @@ class PrimeProfile(NamedTuple):
     relation: Relation
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "p_star": self.p_star,
-            "nu_p_F_pstar": self.nu_p_F_pstar,
-            "relation": self.relation.value,
-        }
+        return {**self._asdict(), "relation": self.relation.value}
 
 
 class Valuation(NamedTuple):
@@ -125,12 +120,7 @@ def entry_point(p: int) -> PrimeProfile:
     nu = 1
     while fib_mod(z, p ** (nu + 1)) == 0:
         nu += 1
-    if z < p:
-        rel = Relation.LESS
-    elif z == p:
-        rel = Relation.EQUAL
-    else:
-        rel = Relation.GREATER
+    rel = Relation.LESS if z < p else Relation.EQUAL if z == p else Relation.GREATER
     return PrimeProfile(p, z, nu, rel)
 
 
@@ -167,34 +157,39 @@ def carry_valuation(m: int, n: int, profile: PrimeProfile) -> Valuation:
 
 
 def fibotorial_valuations(limit: int, p: int) -> tuple[int, ...]:
-    """Prefix table S with S[i] = nu_p(fibotorial(i)) for 0 <= i <= limit.
+    """Prefix table S with S[i] = nu_p(F_1 ... F_i) for 0 <= i <= limit.
 
-    Built from exact Fibonacci integers, one factor at a time; this is the
-    big-integer oracle the closed form is measured against.
+    F_i is walked mod M = p**e, the largest power of p below 2**30 (one
+    CPython int digit), or p itself. A nonzero residue r has nu_p(r) < e, so
+    nu_p(F_i) = nu_p(r); where r = 0 the exact F_i is read instead. No entry
+    point or closed form is involved: this is the oracle the closed form is
+    measured against, in O(limit) word steps.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if p < 2:
         raise ValueError(f"prime must be >= 2, got {p}")
-    out = [0]
-    a, b = 1, 1
-    total = 0
-    for _ in range(limit):
-        x = a
-        while x % p == 0:
-            x //= p
-            total += 1
+    big = p
+    while big * p < 1 << 30:
+        big *= p
+    out, total = [0], 0
+    a, b = 1, 1  # F_i, F_{i+1} mod big
+    for i in range(1, limit + 1):
+        if a % p == 0:
+            x = a or fib(i)
+            while x % p == 0:
+                x, total = x // p, total + 1
         out.append(total)
-        a, b = b, a + b
+        a, b = b, (a + b) % big
     return tuple(out)
 
 
 def nu_p_fibonomial_oracle(n: int, k: int, p: int) -> Valuation:
-    """nu_p of the fibonomial coefficient on (n, k) by exact big integers.
+    """nu_p of the fibonomial coefficient on (n, k) from the oracle table.
 
-    Sums the valuations of the Fibonacci factors of the three fibotorials;
-    no carry shortcut is involved. The zero coefficient (k > n) has no
-    valuation and is rejected.
+    A difference of three fibotorial_valuations entries, each summed over
+    the Fibonacci factors one at a time; no carry shortcut is involved. The
+    zero coefficient (k > n) has no valuation and is rejected.
     """
     if k > n or k < 0:
         raise ValueError(f"need 0 <= k <= n for a nonzero coefficient, got ({n}, {k})")

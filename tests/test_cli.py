@@ -129,6 +129,15 @@ def test_fibonomial_mod_band_matches_exact(data):
     assert int(out.getvalue()) == fibonomial_short(n, k) % m
 
 
+@pytest.mark.parametrize("n, k", [
+    (0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (40, 0), (40, 1), (40, 39),
+    (40, 40), (40, 41), (1000, 1), (1000, 999), (1000, 1001),
+])
+def test_exact_fibonomial_window_edges(capsys, n, k):
+    # Empty windows (k = 0, k = n), none (k > n) and one factor a side (j = 1).
+    assert run(capsys, "fibonomial", str(n), str(k)) == (0, f"{naive_fibonomial(n, k)}\n", "")
+
+
 def test_exact_scalars_print_past_the_str_limit(capsys):
     # Both answers have more digits than Python's default int-to-str limit;
     # the CLI lifts it for the print and hands the caller's limit back.

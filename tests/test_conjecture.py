@@ -33,7 +33,6 @@ from fibonomial.valuation import (
     entry_point,
     fibotorial_valuations,
     is_prime,
-    nu_p_fibotorial,
 )
 
 from oracles import (
@@ -307,16 +306,11 @@ def _spans_around_blocks(p):
 def test_sweep_rows_matches_per_pair_loop_around_blocks(p):
     # The sweep checks quotient rows, so block edges and the first place
     # value z * p are where a wrong quotient range, units class or odometer
-    # start would show. Past 300 rows the table is the closed form, which
-    # test_fibotorial_valuation_matches_prefix_table_dense checks against
-    # the exact one: building that for z * p + 1 = 147,073 rows takes
-    # seconds.
+    # start would show.
     assert DENSE_PRIMES == [q for q in range(400) if is_prime(q) and entry_point(q).p_star >= q]
     profile = entry_point(p)
-    exact = conjecture.fibotorial_valuations(299, p)
-    closed = tuple(nu_p_fibotorial(i, profile) for i in range(profile.p_star * p + 1))
+    prefix = conjecture.fibotorial_valuations(max(profile.p_star * p, 299), p)
     for lo, hi in _spans_around_blocks(p):
-        prefix = exact if hi <= 300 else closed
         assert conjecture._sweep_rows(profile, lo, hi, prefix) is None, (lo, hi)
         assert sweep_rows_per_pair(profile, lo, hi, prefix) == [], (lo, hi)
 

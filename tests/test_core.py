@@ -1,10 +1,12 @@
 import math
 from decimal import Decimal
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import fibonomial.core as core
 from fibonomial.core import (
     binomial,
     fib,
@@ -12,7 +14,6 @@ from fibonomial.core import (
     fibonomial,
     fibonomial_mod,
     fibonomial_row_mod,
-    fibotorial,
     iter_binomial_rows_exact,
     iter_binomial_rows_mod,
     iter_fibonomial_rows_exact,
@@ -76,15 +77,9 @@ def test_fib_mod_domain_errors():
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (1, 1), (2, 1), (6, 240)])
 def test_fibotorial_examples(n, expected):
-    assert fibotorial(n) == expected
-
-
-def test_fibotorial_matches_running_product():
-    ft = fibotorial_seq(60)
-    for n in range(61):
-        assert fibotorial(n) == ft[n]
-    with pytest.raises(ValueError):
-        fibotorial(-1)
+    # The package multiplies out no whole fibotorial; the oracle the exact
+    # coefficients are checked against does, and is pinned here.
+    assert fibotorial_seq(n)[n] == expected
 
 
 @pytest.mark.parametrize("n, k, expected", [
@@ -127,23 +122,55 @@ def test_fibonomial_recurrence_matches_definition():
 
 
 def test_fibonomial_integrality_dense():
-    # Exact divisibility of the fibotorial quotient over a dense range,
-    # with the library value spot-checked on a stride.
+    # Exact divisibility of the fibotorial quotient over a dense range, and
+    # the library value at every pair with n <= 150.
     ft = fibotorial_seq(200)
-    idx = 0
     for n in range(201):
         for k in range(n + 1):
             q, r = divmod(ft[n], ft[k] * ft[n - k])
             assert r == 0
-            if idx % 17 == 0:
-                assert fibonomial(n, k) == q
-            idx += 1
+            if n <= 150:
+                assert fibonomial(n, k) == q, (n, k)
 
 
 @given(st.integers(0, 250), st.integers(0, 250))
 @settings(max_examples=60, deadline=None)
 def test_fibonomial_matches_oracle_sampled(n, k):
     assert fibonomial(n, k) == naive_fibonomial(n, k)
+
+
+@lru_cache(maxsize=1)
+def _fibotorials_to_1000():
+    return fibotorial_seq(1000)
+
+
+@seed(27)
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_fibonomial_window_matches_oracle_to_1000(data):
+    n = data.draw(st.integers(0, 1000))
+    k = data.draw(st.integers(0, n + 1))
+    assert fibonomial(n, k) == naive_fibonomial(n, k, _fibotorials_to_1000())
+
+
+@pytest.mark.parametrize("n, k", [
+    (0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (3, 1), (3, 2),
+    (40, 0), (40, 1), (40, 39), (40, 40), (40, 41), (1000, 1), (1000, 999), (1000, 1001),
+])
+def test_fibonomial_window_edges(n, k):
+    # k = 0 and k = n are empty windows, k > n has none, j = 1 is one factor
+    # a side.
+    assert fibonomial(n, k) == naive_fibonomial(n, k)
+
+
+def test_fibonomial_window_losing_a_factor_raises(monkeypatch):
+    # F_9 F_10 F_11 over F_1 F_2 F_3 F_4 without F_12 = 144 leaves 34 * 55 *
+    # 89 = 166430, which is not a multiple of 6.
+    product = core._fib_product
+    monkeypatch.setattr(core, "_fib_product",
+                        lambda start, count: product(start, count - (start > 1)))
+    with pytest.raises(ArithmeticError, match=r"fibonomial\(12, 4\) left remainder 2"):
+        fibonomial(12, 4)
 
 
 @pytest.mark.parametrize("n, m, expected", [

@@ -285,12 +285,27 @@ def test_carry_valuation_base5_is_plain_carry_count():
 
 
 def test_fibotorial_valuations_prefix():
-    ft = fibotorial_seq(120)
-    for p in (2, 3, 5, 7):
-        s = fibotorial_valuations(120, p)
-        assert len(s) == 121
-        for i in range(121):
-            assert s[i] == nu(ft[i], p)
+    # The word-size residues against exact Fibonacci integers, for every
+    # prime below 200 at every n <= 3,000.
+    fs = fib_seq(3000)
+    for p in primes_below(200):
+        total, want = 0, [0]
+        for x in fs:
+            total += nu(x, p)
+            want.append(total)
+        assert fibotorial_valuations(3000, p) == tuple(want), p
+
+
+def test_fibotorial_valuations_read_exact_f_where_the_residue_vanishes(monkeypatch):
+    # p = F_47 has 32 bits, so the residues are taken mod p itself, and at
+    # i = 47 and 94 (nu_p = 1 and 1) the table reads the exact F_i.
+    p = fib_seq(47)[-1]
+    assert p == 2_971_215_073 and is_prime(p)
+    read = []
+    monkeypatch.setattr(valuation, "fib", lambda i: read.append(i) or fib(i))
+    ft = fibotorial_seq(100)
+    assert list(fibotorial_valuations(100, p)) == [nu(x, p) for x in ft]
+    assert read == [47, 94]
 
 
 def test_nu_p_fibonomial_oracle_matches_direct():
