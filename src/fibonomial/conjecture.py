@@ -91,9 +91,9 @@ def digit_product_divisible(n: int, k: int, profile: PrimeProfile) -> bool:
     return _pairs_divisible(nd, kd, profile)
 
 
-# 100,000 rows are 5 * 10**9 pairs. A serial sweep of them took 0.69 s at
-# p = 7 and 5.1 s at p = 2, where the blocks of z rows are smallest
-# (fresh processes, medians of 5, BENCH_exact.json).
+# 100,000 rows are 5 * 10**9 pairs. A serial sweep of them took 0.50 s at
+# p = 7 and 3.7 s at p = 2, where the blocks of z rows are smallest (fresh
+# processes on a 2-vCPU VM, medians of 5, BENCH_sweep_kernel.json).
 MAX_SWEEP_ROWS = 100_000
 
 
@@ -128,17 +128,16 @@ def verify_conjecture(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> Swe
     start = time.perf_counter()
     prefix = fibotorial_valuations(max(rows - 1, 0), profile.p)
     spans = _row_chunks(rows, jobs, profile.p_star)
-    work = (repeat(profile), [lo for lo, _ in spans], [hi for _, hi in spans],
-            repeat(prefix))
     if len(spans) <= 1:
-        list(map(_sweep_rows, *work))
+        _sweep_rows(profile, 0, rows, prefix)
     else:
         # Imported here: the process machinery costs every CLI command
         # tens of milliseconds of start-up, and only pooled sweeps use it.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            list(pool.map(_sweep_rows, *work))
+            list(pool.map(_sweep_rows, repeat(profile), [lo for lo, _ in spans],
+                          [hi for _, hi in spans], repeat(prefix)))
     return SweepRecord(profile.p, rows, (), time.perf_counter() - start)
 
 
@@ -166,6 +165,24 @@ def _row_chunks(rows: int, jobs: int, z: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(ends, ends[1:]) if lo < hi]
 
 
+def _pack(values: tuple[int, ...], width: int) -> int:
+    """values[j] in bits [j * width, (j + 1) * width) of one integer, by
+    shifts: runs of 32 values one shift at a time, then the runs joined
+    pairwise, in O(len(values)) Python steps where one shift a value would
+    take quadratic time."""
+    runs = []
+    for i in range(0, len(values), 32):
+        run = 0
+        for v in reversed(values[i:i + 32]):
+            run = run << width | v
+        runs.append(run)
+    width *= 32
+    while len(runs) > 1:
+        runs = [a | c << width for a, c in zip_longest(runs[::2], runs[1::2], fillvalue=0)]
+        width *= 2
+    return runs[0] if runs else 0
+
+
 def _sweep_rows(profile: PrimeProfile, lo: int, hi: int,
                 prefix: tuple[int, ...]) -> None:
     """Check the carry test against the oracle at every pair of rows [lo,
@@ -178,77 +195,105 @@ def _sweep_rows(profile: PrimeProfile, lo: int, hi: int,
     p, so a digit factor C(a, b)_F is divisible exactly when b > a: the
     carry bits are the digit product's.
 
-    Only the F_{mz} carry p, so the oracle prefix[i] = nu_p(F_1 ... F_i)
-    is constant on each block [mz, mz + z); that is checked first for every
-    i < hi, and a step inside a block raises. Let Q[m] = prefix[mz] (heads
-    below), n = qz + u and k = jz + t. Where t <= u the exponent is Q[q] -
-    Q[j] - Q[q - j] and the sum carries exactly when a base-p digit of j
-    exceeds q's; where t > u it is Q[q] - Q[j] - Q[q - 1 - j], and the units
-    column carries. Every pair of the span falls in one of the two, so both
-    are checked on the quotient rows q of the span, [lo // z, ceil(hi / z)),
-    every j at once; the second only where the span holds a row of block q
-    with u < z - 1, as only then does it hold a pair with t > u.
+    Only the F_{mz} carry p, so the oracle prefix[i] = nu_p(F_1 ... F_i) is
+    constant on each block [mz, mz + z); that is checked first for every i
+    < hi, in min(z, c) slice comparisons for the c blocks (per offset when
+    the blocks outnumber z, per block otherwise), and a step inside a block
+    raises, as does a negative entry, which no valuation can be and no
+    field below could hold. Let Q[m] = prefix[mz] (heads below), n = qz + u
+    and k = jz + t. Where t <= u the exponent is Q[q] - Q[j] - Q[q - j] and
+    the sum carries exactly when a base-p digit of j exceeds q's; where t >
+    u it is Q[q] - Q[j] - Q[q - 1 - j], and the units column carries. Every
+    pair of the span falls in one of the two, so both are checked on the
+    quotient rows q of the span, [lo // z, c), every j at once; the second
+    only where the span holds a row of block q with u < z - 1, as only then
+    does it hold a pair with t > u.
 
     Each side of quotient row q is an integer with a (b + 1)-bit field per
-    j; b >= 1 is the bit length of twice the largest of Q, which is packed
-    once forwards and reversed. Oracle: (2**(b-1) + Q[q] - 1) * ones - rev,
-    once per distinct total, shifted, plus 2**(b-1) * ones - fwd is 2**b +
-    Q[q] - 1 - Q[j] - Q[q - j] in field j: bit b is set where p divides, and
-    no field borrows. Shifted one field further it reads Q[q - 1 - j], and
-    then every bit b below field q must be set. Carry side: an odometer over
-    q's base-p digits keeps the j with no digit above q's in one integer, a
-    shift and an add a row. A quotient row costs a few operations on q(b +
-    1)-bit integers and O(1) Python steps. A mismatch names the first pair
-    of the span, in row-major order, that falls in a failing class.
+    j <= q; b >= 1 is the bit length of twice the largest of Q, and bit b
+    of each field is its guard. Q is packed once, reversed and by shifts,
+    as 2**b - 1 - Q[c - 1 - i] in field i, so that one right shift reads
+    2**b - 1 - Q[q - j] in field j; gaps holds Q[q] - Q[j] in field j < q,
+    one multiple of the previous row's ones added a row. Their sum is 2**b
+    - 1 + Q[q] - Q[j] - Q[q - j] in field j: the guard is set exactly
+    where p divides, and no field borrows. With the previous row's shift
+    in place of this row's, field j reads Q[q - 1 - j], and then every
+    guard below field q must be set. Carry side: an odometer over q's
+    base-p digits keeps the j with no digit above q's in one integer, a
+    shift and an add a row, its place shifts precomputed. The ones and
+    guards of fields 0..q come from one shift each, so every operation of
+    quotient row q is on integers of at most (q + 1)(b + 1) bits, and the
+    row costs O(1) Python steps. A mismatch names the first pair of the
+    span, in row-major order, that falls in a failing class.
     """
     p, z = profile.p, profile.p_star
     if lo >= hi:
         return
     x = prefix[:hi]
     heads = x[::z]
-    if any(x[t::z] != heads[:len(range(t, hi, z))] for t in range(1, min(z, hi))):
+    end = len(heads)
+    if z < end:
+        stepped = any(x[t::z] != heads[:len(range(t, hi, z))] for t in range(1, z))
+    else:
+        stepped = sum(map(tuple.count, [x[a:a + z] for a in range(0, hi, z)], heads)) < hi
+    if stepped:
         i = next(i for i, v in enumerate(x) if v != heads[i // z])
         raise ArithmeticError(
             f"oracle table steps inside a block at i={i}: {x[i]} against "
             f"{heads[i // z]} at i={i - i % z} (z={z}, p={p})")
-    first, end = lo // z, len(heads)
+    if min(heads) < 0:
+        i = next(i for i, v in enumerate(x) if v < 0)
+        raise ArithmeticError(f"oracle table is negative at i={i}: {x[i]} (z={z}, p={p})")
+    first = lo // z
     b = (2 * max(heads) | 1).bit_length()
-    f, half = b + 1, 1 << b - 1
-    cell = {v: format(v, f"0{f}b") for v in set(heads)}
-    rev, fwd = (int("".join(map(cell.get, y)), 2) for y in (heads, reversed(heads)))
+    f = b + 1
     ones = ((1 << f * end) - 1) // ((1 << f) - 1)
-    guards, low = ones << b, half * ones - fwd
-    # levels[i]: quotients j with digits 0 below place i, at most q's from i up.
-    digits = [*expand_base_p(first, p), *[0] * end.bit_length()]
+    guards, rev = ones << b, ((1 << b) - 1) * ones - _pack(heads[::-1], f)
+    # The odometer: allowed holds the j with no base-p digit above q's, and
+    # levels[i], i >= 1, those with digits 0 below place i and at most q's
+    # from i up; step is the copy of levels[1] that allowed gained last.
+    digits = list(expand_base_p(first, p))
+    while p ** len(digits) <= end:
+        digits.append(0)
+    places = [f * p**i for i in range(len(digits))]
     levels = [1 << b]
-    for i in reversed(range(len(digits))):
-        levels.insert(0, sum(levels[0] << f * p**i * t for t in range(digits[i] + 1)))
-    mask, total = (1 << f * first) - 1, None
-    for q in range(first, end):
-        below, mask = mask, (1 << f * (q + 1)) - 1
-        if heads[q] != total:
-            total = heads[q]
-            top = (half + total - 1) * ones - rev
-        high = top >> f * (end - 1 - q)
-        full = guards & below
-        carry = full - (levels[0] & below)
-        held = (high + (low & mask)) & guards
-        crossed = ((high >> f) + (low & below)) & guards
-        n = max(lo, q * z)
-        if held != carry or crossed != full and n % z < z - 1:
-            k = min(((d & -d).bit_length() - 1) // f * z + t
-                    for d, t in ((held ^ carry, 0), (crossed ^ full, n % z + 1))
-                    if d and t < z)
-            e = x[n] - x[k] - x[n - k]
-            raise ArithmeticError(
-                f"carry test {e < 1} disagrees with oracle exponent {e} "
-                f"at (n={n}, k={k}, p={p})")
-        i = 0
-        while digits[i] == p - 1:
-            digits[i], i = 0, i + 1
-        digits[i] += 1
-        levels[i] += levels[i + 1] << f * p**i * digits[i]
-        levels[:i] = [levels[i]] * i
+    for digit, place in zip(reversed(digits), reversed(places)):
+        levels.insert(0, sum(levels[0] << place * t for t in range(digit + 1)))
+    unit_digit, allowed, step = digits[0], levels[0], levels[1] << f * digits[0]
+    # The ones, reversed window and guards of the row before the first, and
+    # gaps as of a total of 0: -Q[j] in field j below the first row.
+    s = f * (end - first)
+    unit, r, last, gaps = ones >> s, rev >> s, 0, -_pack(heads[:first], f)
+    full = unit << b
+    for q, total, s in zip(range(first, end), heads[first:], range(s - f, -1, -f)):
+        gaps += unit * (total - last)
+        crossed = r + gaps & guards
+        unit, r, last = ones >> s, rev >> s, total
+        g = unit << b
+        held = r + gaps & guards
+        if held != g - allowed or crossed != full:
+            carry, n = g - allowed, max(lo, q * z)
+            k = min((((d & -d).bit_length() - 1) // f * z + t
+                     for d, t in ((held ^ carry, 0), (crossed ^ full, n % z + 1))
+                     if d and t < z), default=None)
+            if k is not None:
+                e = x[n] - x[k] - x[n - k]
+                raise ArithmeticError(
+                    f"carry test {e < 1} disagrees with oracle exponent {e} "
+                    f"at (n={n}, k={k}, p={p})")
+        full = g
+        if unit_digit < p - 1:
+            unit_digit += 1
+            step <<= f
+            allowed += step
+        else:
+            i = 1
+            while digits[i] == p - 1:
+                digits[i], i = 0, i + 1
+            digits[i] += 1
+            levels[i] += levels[i + 1] << places[i] * digits[i]
+            levels[1:i] = [levels[i]] * (i - 1)
+            unit_digit, allowed, step = 0, levels[1], levels[1]
 
 
 def find_counterexample(profile: PrimeProfile) -> tuple[int, int, ConjectureVerdict]:

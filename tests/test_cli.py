@@ -8,9 +8,10 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fibonomial.cli as cli
@@ -855,6 +856,60 @@ def test_verify_usage_errors(tmp_path, capsys):
                   ["--out", str(tmp_path / "missing" / "sweep.jsonl")]):
         code, _, err = run(capsys, "verify", "--prime", "7", "--rows", "60", *flags)
         assert code == 2 and "error:" in err, flags
+
+
+# The values the fuzz test below draws for verify: primes refused (below 2,
+# composite, z < p, past the entry-point bound, at the primality bound) and
+# accepted; rows refused, at the edges of a block of z and past the bound;
+# jobs refused and accepted; and four kinds of --out target.
+FUZZ_PRIMES = (-7, 0, 1, 4, 9, 11, 2, 3, 5, 7, 23, 163, 10007, 10**13 + 37, PRIME_TEST_LIMIT)
+SWEPT_PRIMES = (2, 3, 5, 7, 23, 163, 10007)
+FUZZ_ROWS = ("-1", "0", "1", "z - 1", "z", "2000", "bound + 1")
+FUZZ_TARGETS = ("new file", "existing file", "directory", "missing directory")
+
+
+@seed(28)
+@given(st.sampled_from(FUZZ_PRIMES), st.sampled_from(FUZZ_ROWS),
+       st.sampled_from((-1, 0, 1, 2)), st.sampled_from(FUZZ_TARGETS))
+@settings(max_examples=400, deadline=None)
+def test_verify_fuzzed_values_exit_0_or_2_and_keep_reports(p, rows, jobs, target):
+    # Every drawn command exits 0 or 2 without a traceback. It exits 0
+    # exactly when the prime, rows, jobs and target are all valid, and then
+    # the report holds the header and summary lines alone. A refused
+    # command creates nothing and leaves an earlier report as it was. Rows
+    # tied to z stop at 2,000, so that every sweep is short.
+    z = entry_point(p).p_star if p in SWEPT_PRIMES else 8
+    rows = {"z - 1": min(z - 1, 2000), "z": min(z, 2000),
+            "bound + 1": conjecture.MAX_SWEEP_ROWS + 1}.get(rows, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {"new file": os.path.join(tmp, "sweep.jsonl"),
+                "existing file": os.path.join(tmp, "sweep.jsonl"),
+                "directory": tmp,
+                "missing directory": os.path.join(tmp, "missing", "sweep.jsonl")}[target]
+        if target == "existing file":
+            with open(path, "wb") as earlier:
+                earlier.write(b"an earlier report\n")
+        before = sorted(os.listdir(tmp))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--prime", str(p), "--rows", str(rows),
+                         "--jobs", str(jobs), "--out", path])
+        assert "Traceback" not in err.getvalue()
+        valid = (p in SWEPT_PRIMES and 0 <= int(rows) <= conjecture.MAX_SWEEP_ROWS
+                 and jobs >= 1 and target.endswith("file"))
+        assert code == (0 if valid else 2), err.getvalue()
+        if code == 0:
+            with open(path) as report:
+                assert report.read().splitlines() == [
+                    f'{{"p": {p}, "rows": {rows}, "method": "carry"}}',
+                    '{"counterexamples": 0, "seconds": null}']
+            assert out.getvalue().endswith(f"wrote {path}\n")
+            return
+        assert err.getvalue() and out.getvalue() == ""
+        assert sorted(os.listdir(tmp)) == before
+        if target == "existing file":
+            with open(path, "rb") as earlier:
+                assert earlier.read() == b"an earlier report\n"
 
 
 def test_verify_sweeps_in_process_by_default():

@@ -331,18 +331,20 @@ def _divisible(x, n, k):
 def _assert_sweep_flags_changed_verdicts(p, lo, hi, table):
     # The exact table's verdicts are the carry test's. A sweep over a
     # changed table must pass when every pair of rows [lo, hi) keeps its
-    # verdict, and otherwise raise naming the first pair that changed.
+    # verdict, and otherwise raise naming the first pair that changed, which
+    # is returned (None when the sweep passed).
     true = conjecture.fibotorial_valuations(hi - 1, p)
     changed = next(((n, k) for n in range(lo, hi) for k in range(n + 1)
                     if _divisible(table, n, k) != _divisible(true, n, k)), None)
     if changed is None:
         assert conjecture._sweep_rows(entry_point(p), lo, hi, tuple(table)) is None
-        return
+        return None
     n, k = changed
     message = (f"carry test {_divisible(true, n, k)} disagrees with oracle exponent "
                f"{table[n] - table[k] - table[n - k]} at (n={n}, k={k}, p={p})")
     with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
         conjecture._sweep_rows(entry_point(p), lo, hi, tuple(table))
+    return changed
 
 
 def _first_step_in_block(table, z):
@@ -408,6 +410,46 @@ def test_sweep_rows_catches_every_single_entry_change(p):
                 continue
             with pytest.raises(ArithmeticError):
                 conjecture._sweep_rows(entry_point(p), 2 * z + 1, rows, tuple(table))
+
+
+@pytest.mark.parametrize("p, rows", [(3, 823), (5, 823), (7, 823), (163, 683)])
+def test_sweep_rows_flags_changed_blocks_at_benchmark_scale(p, rows):
+    # Sweeps as long as the benchmark's: up to 206 quotient rows, with fields
+    # of up to 11 bits, where the tests above stop at 7 quotient rows. The
+    # exact table passes from row 0 and from inside a middle block. Block 1,
+    # a middle block and the last block, each raised and lowered by one,
+    # alone and with every block after it, keep the table constant on
+    # blocks: the sweep passes where every verdict holds and otherwise names
+    # the first pair that changed, from both starts. Here every such change
+    # reaches a verdict, in both classes of pair.
+    profile = entry_point(p)
+    z = profile.p_star
+    true = conjecture.fibotorial_valuations(rows - 1, p)
+    c = -(-rows // z)
+    middle = c // 2 * z
+    for lo in (0, middle + z // 2):
+        assert conjecture._sweep_rows(profile, lo, rows, true) is None
+    changed = []
+    for m in (z, middle, (c - 1) * z):
+        for end in (m + z, rows):
+            for step in (1, -1):
+                table = [v + step * (m <= i < end) for i, v in enumerate(true)]
+                for lo in (0, middle + z // 2):
+                    changed.append(_assert_sweep_flags_changed_verdicts(p, lo, rows, table))
+    assert None not in changed
+    assert any(k % z > n % z for n, k in changed)
+
+
+def test_sweep_rows_refuses_a_negative_table():
+    # A block set below zero keeps the table constant on blocks, but no
+    # valuation is negative and the packed fields hold none: the sweep
+    # raises at the first negative index, from any start.
+    table = list(conjecture.fibotorial_valuations(39, 7))
+    table[16:24] = [-1] * 8
+    for lo in (0, 30):
+        with pytest.raises(ArithmeticError, match=r"^oracle table is negative at i=16: -1 "
+                                                  r"\(z=8, p=7\)$"):
+            conjecture._sweep_rows(entry_point(7), lo, 40, tuple(table))
 
 
 def _table_topped_at(top, rng):
