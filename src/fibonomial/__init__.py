@@ -12,8 +12,7 @@ from importlib import import_module
 _MODULES = {
     "conjecture": "ConjectureVerdict SweepRecord digit_product_divisible "
                   "find_counterexample verify_conjecture",
-    "core": "TriangleRow binomial fib fib_mod fibonomial fibonomial_mod "
-            "fibonomial_row_mod",
+    "core": "TriangleRow fib fib_mod fibonomial fibonomial_mod fibonomial_row_mod",
     "radix": "CarryReport add_with_carries expand_base_fp expand_base_p "
              "lucas_binomial_residue",
     "render": "RenderSpec render",

@@ -344,28 +344,16 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser, declared from _COMMANDS. When command names
-    a subcommand, only that one is declared, about a sixth of the cost of
-    declaring all eight; its usage lines and errors read as the full
-    parser's. Any other command declares every subcommand."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, declared from _COMMANDS."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="fibonomial",
         description="Fibonomial triangles, entry-point digit expansions, "
                     "closed-form valuations, and divisibility sweeps.")
-    if command in _COMMANDS:
-        # The metavar spells the choices list the full parser prints. The
-        # full parser sets none: its missing-command error names the dest.
-        names = [command]
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_COMMANDS) + "}")
-    else:
-        names = list(_COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_line, handler, table = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, table) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for arg in table:
             help_text = arg.help() if callable(arg.help) else arg.help
@@ -432,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     values = _parse_quick(argv)
     if values is None:
         try:
-            values = vars(build_parser(argv[0] if argv else None).parse_args(argv))
+            values = vars(build_parser().parse_args(argv))
         except SystemExit as exc:  # argparse prints its own message
             code = exc.code
             return code if isinstance(code, int) else EXIT_USAGE

@@ -120,13 +120,6 @@ def fibonomial_mod(n: int, k: int, m: int) -> int:
         big *= big
 
 
-def binomial(n: int, k: int) -> int:
-    """Ordinary binomial coefficient; zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial arguments must be >= 0, got ({n}, {k})")
-    return math.comb(n, k)
-
-
 def _weighted_rows(count: int, m: int | None, fibonacci: bool) -> Iterator[TriangleRow]:
     """Yield rows 0 .. count-1 of the weighted Pascal recurrence
 

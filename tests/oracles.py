@@ -4,6 +4,9 @@ Deliberately independent of the package under test: plain iteration,
 plain division, no carry counting and no closed forms.
 """
 
+import functools
+import math
+
 
 def fib_seq(count):
     """[F_1, ..., F_count] by direct iteration."""
@@ -98,6 +101,38 @@ def naive_fibonomial(n, k, ft=None):
     q, r = divmod(ft[n], ft[k] * ft[n - k])
     assert r == 0
     return q
+
+
+def binomial(n, k):
+    """Ordinary binomial coefficient; zero when k > n."""
+    if n < 0 or k < 0:
+        raise ValueError(f"binomial arguments must be >= 0, got ({n}, {k})")
+    return math.comb(n, k)
+
+
+def fibonomial_mod_prime(n, k, p):
+    """C(n, k)_F mod the prime p by the Lucas-type congruence of Knuth and
+    Wilf (1989) and Hu and Sun (2001). With z the entry point of p, write
+    n = n0 + zN and k = k0 + zK, 0 <= n0, k0 < z. The residue is 0 when
+    k0 > n0, and otherwise
+
+        C(n0, k0)_F * binom(N, K) * F_{z+1}^(K(n0-k0) + (N-K)k0 + zK(N-K)).
+    """
+    z, f = _entry_point_and_next_fib(p)
+    (N, n0), (K, k0) = divmod(n, z), divmod(k, z)
+    if k > n or k0 > n0:
+        return 0
+    e = K * (n0 - k0) + (N - K) * k0 + z * K * (N - K)
+    return _digit_fibonomial(n0, k0) * math.comb(N, K) * pow(f, e, p) % p
+
+
+@functools.cache
+def _entry_point_and_next_fib(p):
+    z = entry_point_walk(p)
+    return z, fib_seq(z + 1)[z]
+
+
+_digit_fibonomial = functools.cache(naive_fibonomial)
 
 
 def nu(x, p):

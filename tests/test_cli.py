@@ -9,9 +9,11 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+from math import isqrt
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import fibonomial.cli as cli
@@ -621,8 +623,8 @@ PARSE_FAILURES = [
 
 @pytest.mark.parametrize("argv", PARSE_FAILURES, ids=" ".join)
 def test_cli_parse_output_matches_full_parser(argv, capsys):
-    # main declares only the named subcommand's parser, yet every help
-    # text, usage line, error and exit code is the full parser's.
+    # None of these forms is read by the quick parse, and every help text,
+    # usage line, error and exit code main gives is the full parser's.
     got = run(capsys, *argv)
     with pytest.raises(SystemExit) as stop:
         build_parser().parse_args(argv)
@@ -707,13 +709,12 @@ def test_quick_parse_matches_full_parser(data):
 
 def test_cli_declares_only_the_named_subcommand(capsys, monkeypatch):
     # A well-formed command is read from the argument table and declares no
-    # parser. Any other form declares only its own subcommand, and the
-    # forms argparse accepts answer as they did.
+    # parser; the forms argparse accepts answer as they did.
     declared = []
 
-    def recording(command=None):
-        declared.append(command)
-        return build_parser(command)
+    def recording():
+        declared.append(True)
+        return build_parser()
 
     monkeypatch.setattr(cli, "build_parser", recording)
     assert run(capsys, "fib", "5") == (0, "5\n", "")
@@ -721,9 +722,7 @@ def test_cli_declares_only_the_named_subcommand(capsys, monkeypatch):
     assert run(capsys, "fibonomial", "5", "2", "--mod=7") == (0, "1\n", "")
     assert run(capsys, "fibonomial", "5", "2", "--mo", "7") == (0, "1\n", "")
     assert run(capsys, "fib", "x")[0] == 2
-    assert declared == ["fibonomial", "fibonomial", "fib"]
-    subparsers = build_parser("fib")._subparsers._group_actions[0]
-    assert list(subparsers.choices) == ["fib"]
+    assert len(declared) == 3
 
 
 def test_verify_clean_sweep(tmp_path, capsys):
@@ -868,6 +867,19 @@ FUZZ_ROWS = ("-1", "0", "1", "z - 1", "z", "2000", "bound + 1")
 FUZZ_TARGETS = ("new file", "existing file", "directory", "missing directory")
 
 
+def _fuzz_target(tmp, target, name):
+    # The --out path of a drawn kind of target in tmp; an existing file
+    # holds an earlier report.
+    path = {"new file": os.path.join(tmp, name),
+            "existing file": os.path.join(tmp, name),
+            "directory": tmp,
+            "missing directory": os.path.join(tmp, "missing", name)}[target]
+    if target == "existing file":
+        with open(path, "wb") as earlier:
+            earlier.write(b"an earlier report\n")
+    return path
+
+
 @seed(28)
 @given(st.sampled_from(FUZZ_PRIMES), st.sampled_from(FUZZ_ROWS),
        st.sampled_from((-1, 0, 1, 2)), st.sampled_from(FUZZ_TARGETS))
@@ -882,13 +894,7 @@ def test_verify_fuzzed_values_exit_0_or_2_and_keep_reports(p, rows, jobs, target
     rows = {"z - 1": min(z - 1, 2000), "z": min(z, 2000),
             "bound + 1": conjecture.MAX_SWEEP_ROWS + 1}.get(rows, rows)
     with tempfile.TemporaryDirectory() as tmp:
-        path = {"new file": os.path.join(tmp, "sweep.jsonl"),
-                "existing file": os.path.join(tmp, "sweep.jsonl"),
-                "directory": tmp,
-                "missing directory": os.path.join(tmp, "missing", "sweep.jsonl")}[target]
-        if target == "existing file":
-            with open(path, "wb") as earlier:
-                earlier.write(b"an earlier report\n")
+        path = _fuzz_target(tmp, target, "sweep.jsonl")
         before = sorted(os.listdir(tmp))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -909,6 +915,113 @@ def test_verify_fuzzed_values_exit_0_or_2_and_keep_reports(p, rows, jobs, target
         assert sorted(os.listdir(tmp)) == before
         if target == "existing file":
             with open(path, "rb") as earlier:
+                assert earlier.read() == b"an earlier report\n"
+
+
+# The values the fuzz test below draws for the other subcommands: zero,
+# negative, non-prime, past the default cap and 2**1200; primes refused
+# (below 2, composite, past the entry-point bound, at the primality bound)
+# and accepted; moduli refused and accepted; and "past", rows or a window
+# min(k, n - k) just past the bound that the drawn modulus and cap set.
+# Exact triangles stay at 50 rows or fewer.
+FUZZ_INTS = ("0", "-1", "9", "1001", BIG)
+FUZZ_VALUE_PRIMES = ("-7", "0", "9", "2", "7", "11", str(10**13 + 37), str(PRIME_TEST_LIMIT), BIG)
+FUZZ_MODS = (None, "-3", "1", "2", "7", BIG)
+FUZZ_OUT = (None, *FUZZ_TARGETS)
+
+
+def _prime_refusal(p, entry=True):
+    # The message a drawn prime is refused with, first of all checks.
+    if p >= PRIME_TEST_LIMIT:
+        return "primality is decided only below"
+    if p not in (2, 7, 11, 10**13 + 37):
+        return "is not prime"
+    if entry and p > ENTRY_POINT_LIMIT:
+        return "entry points are computed for primes up to"
+    return None
+
+
+@seed(29)
+# Both triangle bounds, with an earlier --out file in place, are drawn rarely.
+@example("triangle", "0", "0", "7", None, "5", "50", "p", "json", False, "existing file")
+@example("triangle", "0", "0", "7", BIG, None, "past", "Fp", "svg", False, "existing file")
+@given(st.sampled_from(("fib", "fibonomial", "entry-point", "valuation", "expand", "lucas",
+                        "triangle")),
+       st.sampled_from(FUZZ_INTS), st.sampled_from((*FUZZ_INTS, "past")),
+       st.sampled_from(FUZZ_VALUE_PRIMES), st.sampled_from(FUZZ_MODS),
+       st.sampled_from((None, "5")), st.sampled_from(("-1", "0", "1", "50", "past")),
+       st.sampled_from(("carry", "oracle", "p", "Fp")),
+       st.sampled_from(("ascii", "pgm", "svg", "json")), st.booleans(), st.sampled_from(FUZZ_OUT))
+@settings(max_examples=300, deadline=None)
+def test_other_commands_fuzzed_values_exit_0_or_2_within_a_second(
+        command, n, k, p, mod, cap, rows, choice, fmt, flag, target):
+    # Every drawn command exits 0 or 2 without a traceback, within a second,
+    # and a value past a bound is refused with that bound's message before
+    # the work starts. A refused triangle --out creates nothing and leaves an
+    # earlier file as it was.
+    limit = int(cap or cli.DEFAULT_EXACT_CAP)
+    words = cli._words(int(mod)) if mod else 1
+    window = cli.MAX_MOD_WINDOW // (words + words * words // 64)
+    rows_bound = isqrt(cli.MAX_TRIANGLE_ROWS ** 2 // words)
+    if k == "past":
+        n, k = str(2 * window + 2), str(window + 1)
+    if rows == "past":
+        rows = str(limit + 2 if mod is None else rows_bound + 1)
+    N, K, P = int(n), int(k), int(p)
+    options = [*(["--mod", mod] if mod else []), *(["--cap", cap] if cap else [])]
+    json_flag = ["--json"] if flag else []
+    want = None
+    if command == "fib":
+        argv = ["fib", n, *options, *json_flag]
+        if mod is None and N > limit:
+            want = f"exceeds the exact-size cap {limit}"
+    elif command == "fibonomial":
+        argv = ["fibonomial", n, k, *options, *json_flag]
+        if N >= 0 and K >= 0 and mod and min(K, N - K) > window:
+            want = f"exceeds the window bound {window}"
+        elif N >= 0 and K >= 0 and mod is None and N > limit:
+            want = f"exceeds the exact-size cap {limit}"
+    elif command == "entry-point":
+        argv, want = ["entry-point", p, *json_flag], _prime_refusal(P)
+    elif command == "valuation":
+        method = "oracle" if choice in ("oracle", "p") else "carry"
+        argv = ["valuation", n, k, "--prime", p, "--method", method,
+                *(["--cap", cap] if cap else []), *json_flag]
+        if 0 <= K <= N:
+            want = _prime_refusal(P)
+            if want is None and method == "oracle" and N > limit:
+                want = f"exceeds the exact-size cap {limit}"
+    elif command == "expand":
+        base = "p" if choice in ("p", "carry") else "Fp"
+        argv = ["expand", n, "--base", base, "--prime", p, *json_flag]
+        want = _prime_refusal(P, entry=base == "Fp")
+    elif command == "lucas":
+        argv, want = ["lucas", n, k, "--prime", p, *json_flag], _prime_refusal(P, entry=False)
+    else:
+        kind = "binomial" if choice in ("p", "carry") else "fibonomial"
+        argv = ["triangle", "--rows", rows, "--kind", kind, "--format", fmt, *options]
+        if mod is None and int(rows) - 1 > limit:
+            want = f"exceeds the exact-size cap {limit}"
+        elif mod is not None and int(rows) > rows_bound:
+            want = f"rows must be <= {rows_bound} for a triangle mod m"
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "triangle" and target is not None:
+            argv += ["--out", _fuzz_target(tmp, target, "triangle.txt")]
+        before = sorted(os.listdir(tmp))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code in (0, 2) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+        if want is not None:
+            assert code == 2 and want in err.getvalue(), (argv, err.getvalue())
+        if code == 0:
+            return
+        assert err.getvalue() and out.getvalue() == "", argv
+        assert sorted(os.listdir(tmp)) == before
+        if target == "existing file" and command == "triangle":
+            with open(argv[-1], "rb") as earlier:
                 assert earlier.read() == b"an earlier report\n"
 
 

@@ -4,7 +4,7 @@ import math
 import random
 import re
 import tracemalloc
-from itertools import accumulate, product, zip_longest
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +22,7 @@ from fibonomial.conjecture import (
 )
 from fibonomial.core import (
     fib,
-    fib_mod,
     fibonomial_mod,
-    fibonomial_row_mod,
     iter_fibonomial_rows_mod,
 )
 from fibonomial.radix import expand_base_p
@@ -37,20 +35,15 @@ from fibonomial.valuation import (
 
 from oracles import (
     digits_le,
+    entry_point_walk,
     fib_seq,
+    fibonomial_mod_prime,
     fibotorial_seq,
     naive_fibonomial,
     nu,
+    primes_below,
     sweep_rows_per_pair,
 )
-
-# Divisibility by 5 from exact valuations; the zero coefficient (k > n)
-# counts as divisible.
-S5 = [0, *accumulate(nu(x, 5) for x in fib_seq(150))]
-
-
-def _div5(n, k):
-    return k > n or S5[n] - S5[k] - S5[n - k] >= 1
 
 
 def _base5_digit_exceeds(n, k):
@@ -688,59 +681,31 @@ def test_five_divides_fibonomial_matches_exact_and_digit_product():
             assert digit_product_divisible(n, k, p5) == want
 
 
-def test_self_similarity_examples():
-    # Shifting (n, k) by (i, j) blocks of 5**m, 0 <= j <= i <= 4, keeps
-    # divisibility by 5, for 0 <= n, k < 5**m.
-    for m, n, k, i, j in ((1, 3, 1, 1, 1), (0, 0, 0, 4, 2), (2, 24, 17, 3, 3)):
-        assert _div5(n + i * 5 ** m, k + j * 5 ** m) == _div5(n, k)
+def test_triangle_mod_p_obeys_the_lucas_type_congruence():
+    # Every entry of the triangle mod each prime below 60, over at least
+    # four blocks of z rows, is the congruence's residue. Two of the paper's
+    # lemmas are its instances:
+    # - the mod-2 period: z = 3 and F_4 = 1 (mod 2), so with Lucas for
+    #   binom(N, K), C(n + 3 * 2**m, k)_F = C(n, k)_F (mod 2) for n, k < 3 * 2**m;
+    # - the mod-5 row shift: z = 5 and F_6 = 3 (mod 5), so
+    #   C(n + 5, k)_F = 3**k C(n, k)_F (mod 5) for k < 5.
+    for p in sorted(primes_below(60)):
+        rows = max(4 * entry_point_walk(p) + 5, 100)
+        for row in iter_fibonomial_rows_mod(rows, p):
+            want = [fibonomial_mod_prime(row.n, k, p) for k in range(row.n + 1)]
+            assert list(row.entries) == want, (p, row.n)
 
 
-def test_self_similarity_exhaustive_small_blocks():
-    for m in (0, 1):
-        s = 5 ** m
-        for n in range(s):
-            for k in range(s):
-                for i in range(5):
-                    for j in range(i + 1):
-                        assert _div5(n + i * s, k + j * s) == _div5(n, k)
-
-
-def test_period_mod2_examples():
-    # C(n + 3 * 2**m, k)_F = C(n, k)_F (mod 2) at (m, n, k).
-    for m, n, k in ((0, 2, 1), (1, 0, 0), (2, 7, 3)):
-        period = 3 * 2 ** m
-        assert fibonomial_mod(n + period, k, 2) == fibonomial_mod(n, k, 2), (m, n, k)
-
-
-def test_period_mod2_exhaustive_small():
-    # C(n + 3 * 2**m, k)_F = C(n, k)_F (mod 2) for n, k < 3 * 2**m.
-    for m in (0, 1, 2, 3):
-        period = 3 * 2 ** m
-        for n in range(period):
-            for k in range(period):
-                assert fibonomial_mod(n + period, k, 2) == fibonomial_mod(n, k, 2), (m, n, k)
-
-
-def test_fib_shift_mod5():
-    # F_{n+5} = 3 F_n (mod 5)
-    assert fib_mod(6, 5) == 3  # F_6 = 8
-    assert fib_mod(10, 5) == 0  # F_10 = 55
-    xs = fib_seq(205)
-    for n in range(1, 201):
-        assert fib_mod(n + 5, 5) == xs[n + 4] % 5 == 3 * xs[n - 1] % 5
-
-
-def test_row_shift_mod5():
-    # C(n+5, k) = 3**k C(n, k) (mod 5) for k <= 4, on exact coefficients
-    # and on the modular row recurrence.
-    examples = ((4, 1), (5, 2), (9, 0))
-    assert [naive_fibonomial(n + 5, k) % 5 for n, k in examples] == [4, 0, 1]
-    ft = fibotorial_seq(64)
-    for n in range(60):
-        row = fibonomial_row_mod(n + 5, 5).entries
-        for k in range(min(n, 4) + 1):
-            lhs = naive_fibonomial(n + 5, k, ft) % 5
-            assert lhs == 3 ** k * naive_fibonomial(n, k, ft) % 5 == row[k]
+def test_fibonomial_mod_obeys_the_lucas_type_congruence():
+    # Far past any triangle: n below 10**1 .. 10**12 in turn, min(k, n - k)
+    # below 60, primes up to 233.
+    rng = random.Random(29)
+    primes = sorted(primes_below(234))
+    for i in range(300):
+        p, n = rng.choice(primes), rng.randrange(10 ** (i % 12 + 1))
+        j = rng.randrange(min(n, 59) + 1)
+        for k in (j, n - j):
+            assert fibonomial_mod(n, k, p) == fibonomial_mod_prime(n, k, p), (n, k, p)
 
 
 @pytest.mark.parametrize("n, k, p, expected", [
@@ -822,9 +787,3 @@ def test_sweep_record_lines_are_the_json_dumps_text(p, rows):
             json.dumps({"counterexamples": len(counterexamples), "seconds": None}),
         ]
 
-
-def test_fib_mod_periodicity_supports_shift():
-    # The residues of F mod 5 repeat with period 20; the factor-3 shift is
-    # its square root in disguise. Pure sanity on the shift's premise.
-    seq = [fib_mod(n, 5) for n in range(1, 41)]
-    assert seq[:20] == seq[20:]

@@ -125,20 +125,24 @@ def test_library_imports_are_used():
                     assert name in used, f"{path.name}:{node.lineno} imports {name} unused"
 
 
-def test_private_library_names_are_used():
-    # A module-level _name in the package is private to the package and the
-    # benchmark, so one that no code there reads (by name, as an attribute
-    # or as the string perfbench/tracing.py patches it by) is left over
-    # from code that has gone.
-    used = set()
+def _names_read():
+    """The names that code in the package or the benchmark reads, by name
+    or as an attribute, and the string constants it holds."""
+    reads, strings = set(), set()
     for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                reads.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
+                strings.add(node.value)
+    return reads, strings
+
+
+def _library_definitions():
+    """(file name, line, name, node) for each module-level function, class
+    and assignment in the package."""
     for path in sorted((ROOT / "src" / "fibonomial").glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -149,5 +153,26 @@ def test_private_library_names_are_used():
             else:
                 continue
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    assert name in used, f"{path.name}:{node.lineno} defines {name} unused"
+                yield path.name, node.lineno, name, node
+
+
+def test_private_library_names_are_used():
+    # A module-level _name in the package is private to the package and the
+    # benchmark, so one that no code there reads (by name, as an attribute
+    # or as the string perfbench/tracing.py patches it by) is left over
+    # from code that has gone.
+    reads, strings = _names_read()
+    for file, line, name, _ in _library_definitions():
+        if name.startswith("_") and not name.startswith("__"):
+            assert name in reads | strings, f"{file}:{line} defines {name} unused"
+
+
+def test_public_library_names_are_used():
+    # A public function or class that no code in the package or the
+    # benchmark reads serves only the tests, and belongs in tests/. The
+    # names __init__ lists as strings to re-export do not count as reads.
+    reads, _ = _names_read()
+    unread = [f"{file}:{line} {name}" for file, line, name, node in _library_definitions()
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not name.startswith("_") and name not in reads]
+    assert unread == []
