@@ -4,8 +4,7 @@ The conjecture under test: for a prime p whose entry point z is not below
 p, p divides the fibonomial coefficient on (n, k) exactly when p divides
 the product of the digitwise fibonomial coefficients of n and k expanded
 in the entry-point base. Sweeps check the carry test, which for these
-primes is both sides, against the exact oracle; as only the F_{mz} carry p,
-both are read off the quotient by z, one packed row per block of z rows.
+primes is both sides, against the exact oracle one digit place at a time.
 For primes with z < p the biconditional provably fails and a constructive
 witness is produced instead.
 """
@@ -19,7 +18,7 @@ from itertools import repeat, zip_longest
 from math import isqrt
 
 from . import radix
-from .radix import expand_base_fp, expand_base_p
+from .radix import expand_base_fp
 from .valuation import PrimeProfile, Relation, carry_valuation, fibotorial_valuations
 
 # Re-exported: perfbench/tracing.py wraps it under this module's name.
@@ -91,9 +90,10 @@ def digit_product_divisible(n: int, k: int, profile: PrimeProfile) -> bool:
     return _pairs_divisible(nd, kd, profile)
 
 
-# 100,000 rows are 5 * 10**9 pairs. A serial sweep of them took 0.50 s at
-# p = 7 and 3.7 s at p = 2, where the blocks of z rows are smallest (fresh
-# processes on a 2-vCPU VM, medians of 5, BENCH_sweep_kernel.json).
+# 100,000 rows are 5 * 10**9 pairs. A serial sweep of them took 0.11 s at
+# p = 2, 0.10 s at p = 7 and 0.09 s at p = 163 against 0.07 s for `fib 1`
+# (fresh processes, 2-vCPU VM, medians of 5, BENCH_sweep_certificate.json);
+# a table failing the certificate yet keeping its verdicts can take minutes.
 MAX_SWEEP_ROWS = 100_000
 
 
@@ -165,24 +165,6 @@ def _row_chunks(rows: int, jobs: int, z: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(ends, ends[1:]) if lo < hi]
 
 
-def _pack(values: tuple[int, ...], width: int) -> int:
-    """values[j] in bits [j * width, (j + 1) * width) of one integer, by
-    shifts: runs of 32 values one shift at a time, then the runs joined
-    pairwise, in O(len(values)) Python steps where one shift a value would
-    take quadratic time."""
-    runs = []
-    for i in range(0, len(values), 32):
-        run = 0
-        for v in reversed(values[i:i + 32]):
-            run = run << width | v
-        runs.append(run)
-    width *= 32
-    while len(runs) > 1:
-        runs = [a | c << width for a, c in zip_longest(runs[::2], runs[1::2], fillvalue=0)]
-        width *= 2
-    return runs[0] if runs else 0
-
-
 def _sweep_rows(profile: PrimeProfile, lo: int, hi: int,
                 prefix: tuple[int, ...]) -> None:
     """Check the carry test against the oracle at every pair of rows [lo,
@@ -190,41 +172,20 @@ def _sweep_rows(profile: PrimeProfile, lo: int, hi: int,
     at the first pair where they disagree.
 
     The coefficient is divisible when adding k to n - k in the entry-point
-    base carries (Knuth and Wilf), p = 2 included: when some digit of k
-    exceeds the matching digit of n. As z >= p, F_1 ... F_{z-1} are prime to
-    p, so a digit factor C(a, b)_F is divisible exactly when b > a: the
-    carry bits are the digit product's.
-
+    base carries (Knuth and Wilf), p = 2 included. As z >= p, F_1 ...
+    F_{z-1} are prime to p, so these carry bits are the digit product's.
     Only the F_{mz} carry p, so the oracle prefix[i] = nu_p(F_1 ... F_i) is
-    constant on each block [mz, mz + z); that is checked first for every i
-    < hi, in min(z, c) slice comparisons for the c blocks (per offset when
-    the blocks outnumber z, per block otherwise), and a step inside a block
-    raises, as does a negative entry, which no valuation can be and no
-    field below could hold. Let Q[m] = prefix[mz] (heads below), n = qz + u
-    and k = jz + t. Where t <= u the exponent is Q[q] - Q[j] - Q[q - j] and
-    the sum carries exactly when a base-p digit of j exceeds q's; where t >
-    u it is Q[q] - Q[j] - Q[q - 1 - j], and the units column carries. Every
-    pair of the span falls in one of the two, so both are checked on the
-    quotient rows q of the span, [lo // z, c), every j at once; the second
-    only where the span holds a row of block q with u < z - 1, as only then
-    does it hold a pair with t > u.
-
-    Each side of quotient row q is an integer with a (b + 1)-bit field per
-    j <= q; b >= 1 is the bit length of twice the largest of Q, and bit b
-    of each field is its guard. Q is packed once, reversed and by shifts,
-    as 2**b - 1 - Q[c - 1 - i] in field i, so that one right shift reads
-    2**b - 1 - Q[q - j] in field j; gaps holds Q[q] - Q[j] in field j < q,
-    one multiple of the previous row's ones added a row. Their sum is 2**b
-    - 1 + Q[q] - Q[j] - Q[q - j] in field j: the guard is set exactly
-    where p divides, and no field borrows. With the previous row's shift
-    in place of this row's, field j reads Q[q - 1 - j], and then every
-    guard below field q must be set. Carry side: an odometer over q's
-    base-p digits keeps the j with no digit above q's in one integer, a
-    shift and an add a row, its place shifts precomputed. The ones and
-    guards of fields 0..q come from one shift each, so every operation of
-    quotient row q is on integers of at most (q + 1)(b + 1) bits, and the
-    row costs O(1) Python steps. A mismatch names the first pair of the
-    span, in row-major order, that falls in a failing class.
+    constant on each block [mz, mz + z): that is checked first for every i
+    < hi, in min(z, c) slice comparisons for the c blocks, and a step inside
+    a block raises, as does a negative entry. Let Q[m] = prefix[mz] (heads
+    below), n = qz + u and k = jz + t. Where t <= u the exponent is Q[q] -
+    Q[j] - Q[q - j], and the sum carries exactly when a base-p digit of j
+    exceeds q's; where t > u it is Q[q] - Q[j] - Q[q - 1 - j], and the units
+    column carries. _certified_rows finds the quotient rows [0, L) where
+    both hold at every j, all c for the exact table. From quotient row
+    max(lo // z, L) on, both are tested one j at a time, the second only
+    where block q holds a row of the span with u < z - 1. A mismatch names
+    the first pair of the span, in row-major order, in a failing class.
     """
     p, z = profile.p, profile.p_star
     if lo >= hi:
@@ -244,56 +205,52 @@ def _sweep_rows(profile: PrimeProfile, lo: int, hi: int,
     if min(heads) < 0:
         i = next(i for i, v in enumerate(x) if v < 0)
         raise ArithmeticError(f"oracle table is negative at i={i}: {x[i]} (z={z}, p={p})")
-    first = lo // z
-    b = (2 * max(heads) | 1).bit_length()
-    f = b + 1
-    ones = ((1 << f * end) - 1) // ((1 << f) - 1)
-    guards, rev = ones << b, ((1 << b) - 1) * ones - _pack(heads[::-1], f)
-    # The odometer: allowed holds the j with no base-p digit above q's, and
-    # levels[i], i >= 1, those with digits 0 below place i and at most q's
-    # from i up; step is the copy of levels[1] that allowed gained last.
-    digits = list(expand_base_p(first, p))
-    while p ** len(digits) <= end:
-        digits.append(0)
-    places = [f * p**i for i in range(len(digits))]
-    levels = [1 << b]
-    for digit, place in zip(reversed(digits), reversed(places)):
-        levels.insert(0, sum(levels[0] << place * t for t in range(digit + 1)))
-    unit_digit, allowed, step = digits[0], levels[0], levels[1] << f * digits[0]
-    # The ones, reversed window and guards of the row before the first, and
-    # gaps as of a total of 0: -Q[j] in field j below the first row.
-    s = f * (end - first)
-    unit, r, last, gaps = ones >> s, rev >> s, 0, -_pack(heads[:first], f)
-    full = unit << b
-    for q, total, s in zip(range(first, end), heads[first:], range(s - f, -1, -f)):
-        gaps += unit * (total - last)
-        crossed = r + gaps & guards
-        unit, r, last = ones >> s, rev >> s, total
-        g = unit << b
-        held = r + gaps & guards
-        if held != g - allowed or crossed != full:
-            carry, n = g - allowed, max(lo, q * z)
-            k = min((((d & -d).bit_length() - 1) // f * z + t
-                     for d, t in ((held ^ carry, 0), (crossed ^ full, n % z + 1))
-                     if d and t < z), default=None)
-            if k is not None:
-                e = x[n] - x[k] - x[n - k]
-                raise ArithmeticError(
-                    f"carry test {e < 1} disagrees with oracle exponent {e} "
-                    f"at (n={n}, k={k}, p={p})")
-        full = g
-        if unit_digit < p - 1:
-            unit_digit += 1
-            step <<= f
-            allowed += step
-        else:
-            i = 1
-            while digits[i] == p - 1:
-                digits[i], i = 0, i + 1
-            digits[i] += 1
-            levels[i] += levels[i + 1] << places[i] * digits[i]
-            levels[1:i] = [levels[i]] * (i - 1)
-            unit_digit, allowed, step = 0, levels[1], levels[1]
+    for q in range(max(lo // z, _certified_rows(heads, p)), end):
+        n, top = max(lo, q * z), heads[q]
+        k = next((j * z for j in range(q + 1)
+                  if (top - heads[j] - heads[q - j] >= 1) != _digit_exceeds(j, q, p)), hi)
+        if n % z < z - 1:
+            k = min(k, next((j * z + n % z + 1 for j in range(q)
+                             if top - heads[j] - heads[q - 1 - j] < 1), hi))
+        if k < hi:
+            e = x[n] - x[k] - x[n - k]
+            raise ArithmeticError(
+                f"carry test {e < 1} disagrees with oracle exponent {e} "
+                f"at (n={n}, k={k}, p={p})")
+
+
+def _certified_rows(heads: tuple[int, ...], p: int) -> int:
+    """The length L of the run of quotient rows [0, L) on which heads, the
+    oracle at the block starts, keeps every carry verdict, read off it one
+    place of the base (z, p, p, ...) at a time in O(len(heads)) steps.
+
+    Level 0: each rise heads[m] - heads[m - 1] is at least 1. Each later
+    level takes V, from heads on, with s = V[1] and W = V[::p], and requires
+    (a) V[i] = W[i // p] + (i % p) * s and (b) W[m] - W[m - 1] - p * s >= 1:
+    up to the first failure, rises of V equal to s off the multiples of p
+    and above s on them. With q = ap + u and j = cp + t, u, t < p, V[q] -
+    V[j] - V[q - j] is then W[a] - W[c] - W[a - c], plus the rise (b) at a -
+    c where t > u, so by induction up the levels it is at least 1 exactly
+    when a base-p digit of j exceeds q's; (a) at i = 1 puts V[0] = 0, where
+    it ends. A failure at index i of V = heads[::p**l] bounds L by i *
+    p**l, the first quotient row that reads it. The exact table's rises are
+    nu_p(F_mz) at level 0, then 1 + nu_p(m), or 2 + nu_2(m) at p = 2 and
+    level 1 (Lengyel 1995), so its L is len(heads).
+    """
+    rows = next((m for m in range(1, len(heads)) if heads[m] <= heads[m - 1]), len(heads))
+    v, scale = heads, 1
+    while scale < rows:
+        bad = next((i for i in range(1, len(v)) if (
+            v[i] - v[i - 1] != v[1] if i % p else v[i] - v[i - 1] <= v[1])), rows)
+        rows, v, scale = min(rows, bad * scale), v[::p], scale * p
+    return rows
+
+
+def _digit_exceeds(j: int, q: int, p: int) -> bool:
+    """Whether some base-p digit of j exceeds the matching digit of q."""
+    while j and j % p <= q % p:
+        j, q = j // p, q // p
+    return j > 0
 
 
 def find_counterexample(profile: PrimeProfile) -> tuple[int, int, ConjectureVerdict]:

@@ -129,7 +129,7 @@ def nu_p_fibotorial(n: int, profile: PrimeProfile) -> int:
 
     Only the F_zi, z the entry point, are divisible by p: nu_p(F_zi) =
     nu_p(F_z) + nu_p(i) for odd p, and nu_2(F_3i) is 1 for odd i and
-    nu_2(i) + 3 for even i (Lengyel 1995). Summed over i <= q = n // z by
+    nu_2(i) + 2 for even i (Lengyel 1995). Summed over i <= q = n // z by
     Legendre's formula, that is q * nu_p(F_z) + nu_p(q!), plus q // 2 at 2.
     """
     if n < 0:

@@ -181,9 +181,11 @@ def kummer_carries(a, b, base):
 def sweep_rows_per_pair(profile, lo, hi, prefix, method="oracle", stride=0):
     """The disagreements of the conjecture over the pairs of rows [lo, hi),
     found one pair at a time: per pair it expands both digit vectors and
-    tests the digit product with `_pairs_divisible`, independently of the
-    carry bits that `conjecture._sweep_rows` takes for both sides. For a prime
-    with z >= p it must return [].
+    tests the digit product with `_pairs_divisible`, independently of
+    `conjecture._sweep_rows`, which certifies the carry verdicts off the
+    oracle table's structure one digit place at a time and tests quotient
+    rows one by one only past what that certifies. For a prime with z >= p
+    it must return [].
 
     The left-hand side comes from the oracle prefix table, or, with
     method="carry", from `carry_valuation`'s exponent; then

@@ -127,7 +127,7 @@ def test_row_chunks_split_rows_into_balanced_spans(monkeypatch):
     # jobs = 10**9 returns at once: the split costs O(min(jobs, rows)). The
     # lowered floors put the step from one span to a pool inside the rows
     # tried. Spans are cut at multiples of z and balanced in pairs of
-    # blocks of z rows, the quotient pairs a sweep packs.
+    # blocks of z rows, the quotient pairs a sweep checks.
     for z, floor in product((1, 3, 8), (1, 2, 7, 100, conjecture.MIN_SPAN_PAIRS)):
         monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", floor)
         for rows in range(61 * z):
@@ -298,14 +298,26 @@ def _spans_around_blocks(p):
 @pytest.mark.parametrize("p", DENSE_PRIMES)
 def test_sweep_rows_matches_per_pair_loop_around_blocks(p):
     # The sweep checks quotient rows, so block edges and the first place
-    # value z * p are where a wrong quotient range, units class or odometer
-    # start would show.
+    # value z * p are where a wrong quotient range, units class or digit
+    # place would show.
     assert DENSE_PRIMES == [q for q in range(400) if is_prime(q) and entry_point(q).p_star >= q]
     profile = entry_point(p)
     prefix = conjecture.fibotorial_valuations(max(profile.p_star * p, 299), p)
     for lo, hi in _spans_around_blocks(p):
         assert conjecture._sweep_rows(profile, lo, hi, prefix) is None, (lo, hi)
         assert sweep_rows_per_pair(profile, lo, hi, prefix) == [], (lo, hi)
+
+
+@pytest.mark.parametrize("p", DENSE_PRIMES)
+def test_certified_rows_cover_the_exact_table(p):
+    # The exact table certifies every quotient row: at 1 and 2 rows, around
+    # the first block, one row past the first place z * p, at 500 and 3,000
+    # rows, and at the row bound for a small, a middle and a large block.
+    z = entry_point(p).p_star
+    bound = [conjecture.MAX_SWEEP_ROWS] if p in (2, 7, 163) else []
+    for rows in (1, 2, z, z + 1, z * p + 1, 500, 3000, *bound):
+        heads = conjecture.fibotorial_valuations(rows - 1, p)[::z]
+        assert conjecture._certified_rows(heads, p) == len(heads), rows
 
 
 @given(st.sampled_from(SWEEP_PRIMES), st.integers(0, 700), st.integers(1, 12))
@@ -321,14 +333,24 @@ def _divisible(x, n, k):
     return x[n] - x[k] - x[n - k] >= 1
 
 
+def _first_changed_pair(table, true, lo, hi):
+    # The first pair (n, k) of rows [lo, hi), in row-major order, whose
+    # verdict differs between the two tables, or None; one row at a time.
+    for n in range(lo, hi):
+        row = [table[n] - table[k] - table[n - k] >= 1 for k in range(n + 1)]
+        want = [true[n] - true[k] - true[n - k] >= 1 for k in range(n + 1)]
+        if row != want:
+            return n, next(k for k, (a, b) in enumerate(zip(row, want)) if a != b)
+    return None
+
+
 def _assert_sweep_flags_changed_verdicts(p, lo, hi, table):
     # The exact table's verdicts are the carry test's. A sweep over a
     # changed table must pass when every pair of rows [lo, hi) keeps its
     # verdict, and otherwise raise naming the first pair that changed, which
     # is returned (None when the sweep passed).
     true = conjecture.fibotorial_valuations(hi - 1, p)
-    changed = next(((n, k) for n in range(lo, hi) for k in range(n + 1)
-                    if _divisible(table, n, k) != _divisible(true, n, k)), None)
+    changed = _first_changed_pair(table, true, lo, hi)
     if changed is None:
         assert conjecture._sweep_rows(entry_point(p), lo, hi, tuple(table)) is None
         return None
@@ -344,6 +366,58 @@ def _first_step_in_block(table, z):
     # The first index whose entry differs from that at the start of its
     # block of z, or None.
     return next((i for i, v in enumerate(table) if v != table[i - i % z]), None)
+
+
+def _seeded_corruption(rng):
+    # The exact table of a drawn dense prime, small ones drawn more often,
+    # over up to 160 rows (4z + 7 where z > 8 and that is fewer), with one
+    # drawn change: a single entry, a block of z, a block with every entry
+    # after it or a run of z * p from a block start, moved by 1 or 2 either
+    # way, or a block set to a value from 0 to two past the largest.
+    p = rng.choice(DENSE_PRIMES[:5] * 4 + DENSE_PRIMES)
+    z = entry_point(p).p_star
+    rows = rng.randint(1, 160 if z <= 8 else min(4 * z + 7, 160))
+    table = list(conjecture.fibotorial_valuations(rows - 1, p))
+    kind, step = rng.randrange(5), rng.choice((1, -1, 2, -2))
+    m = rng.randrange(0, rows, z)
+    if kind == 0:
+        table[rng.randrange(rows)] += step
+        return p, table
+    end = {1: m + z, 2: rows, 3: m + z * p, 4: m + z}[kind]
+    value = rng.randint(0, max(table) + 2)
+    for i in range(m, min(end, rows)):
+        table[i] = value if kind == 4 else table[i] + step
+    return p, table
+
+
+def test_certified_rows_keep_every_verdict_of_seeded_corruptions():
+    # Over 3,000 seeded corruptions, no pair of rows below the L quotient
+    # rows that the certificate passes changes its verdict, and the sweep,
+    # from row 0 or from a drawn row, passes where no pair of its rows
+    # changed and otherwise names the first that did. A table that steps
+    # inside a block or holds a negative entry is refused before that. Each
+    # outcome occurs: refused, all rows certified, and fewer certified with
+    # or without a changed verdict.
+    rng = random.Random(31)
+    outcomes = {}
+    for _ in range(3000):
+        p, table = _seeded_corruption(rng)
+        z, rows = entry_point(p).p_star, len(table)
+        lo = rng.choice((0, rng.randrange(rows)))
+        if _first_step_in_block(table, z) is not None or min(table) < 0:
+            with pytest.raises(ArithmeticError, match="^oracle table (steps|is negative) "):
+                conjecture._sweep_rows(entry_point(p), lo, rows, tuple(table))
+            outcome = "refused"
+        else:
+            heads = tuple(table[::z])
+            certified = conjecture._certified_rows(heads, p)
+            true = conjecture.fibotorial_valuations(rows - 1, p)
+            changed = _first_changed_pair(table, true, 0, rows)
+            assert changed is None or changed[0] >= certified * z, (p, table)
+            _assert_sweep_flags_changed_verdicts(p, lo, rows, table)
+            outcome = (certified == len(heads), changed is None)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert set(outcomes) == {"refused", (True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 23])
@@ -407,8 +481,8 @@ def test_sweep_rows_catches_every_single_entry_change(p):
 
 @pytest.mark.parametrize("p, rows", [(3, 823), (5, 823), (7, 823), (163, 683)])
 def test_sweep_rows_flags_changed_blocks_at_benchmark_scale(p, rows):
-    # Sweeps as long as the benchmark's: up to 206 quotient rows, with fields
-    # of up to 11 bits, where the tests above stop at 7 quotient rows. The
+    # Sweeps as long as the benchmark's: up to 206 quotient rows, where the
+    # tests above stop at 7 quotient rows, and past the first place z * p. The
     # exact table passes from row 0 and from inside a middle block. Block 1,
     # a middle block and the last block, each raised and lowered by one,
     # alone and with every block after it, keep the table constant on
@@ -435,8 +509,8 @@ def test_sweep_rows_flags_changed_blocks_at_benchmark_scale(p, rows):
 
 def test_sweep_rows_refuses_a_negative_table():
     # A block set below zero keeps the table constant on blocks, but no
-    # valuation is negative and the packed fields hold none: the sweep
-    # raises at the first negative index, from any start.
+    # valuation is negative: the sweep raises at the first negative index,
+    # from any start.
     table = list(conjecture.fibotorial_valuations(39, 7))
     table[16:24] = [-1] * 8
     for lo in (0, 30):
@@ -471,13 +545,12 @@ def _raise_block(table, z, rng, value=None):
 
 
 def test_sweep_rows_oracle_at_every_field_width():
-    # The field is b + 1 bits, b the bit length of twice the largest value:
-    # the guard bit b moves up one when that value reaches 2**w, for every
-    # w. Seeded tables with the same verdicts as the exact one, their
-    # largest value at 2**w - 1 and at 2**w, pass whole and from a random
-    # row; the same tables with one block raised by one, and exact tables
-    # with one block set to that largest value, so that rows after it have
-    # smaller totals, raise exactly where a verdict changes.
+    # Tables of every bit length up to 65: seeded tables with the same
+    # verdicts as the exact one, their largest value at 2**w - 1 and at
+    # 2**w, pass whole and from a random row; the same tables with one block
+    # raised by one, and exact tables with one block set to that largest
+    # value, so that rows after it have smaller totals, raise exactly where
+    # a verdict changes.
     rng = random.Random(23)
     for w in range(1, 65):
         for top in (2 ** w - 1, 2 ** w):
@@ -520,8 +593,7 @@ def test_digit_factor_table_from_prefix_matches_triangle_mod_p():
 
 def _recording_table(table, packed):
     # The prefix table, recording the length of every slice taken from it:
-    # the sweep packs the oracle from a slice, and reads row totals by
-    # index.
+    # the sweep takes its rows of the oracle as one slice.
     class Recording(tuple):
         def __getitem__(self, i):
             value = tuple.__getitem__(self, i)
@@ -535,7 +607,7 @@ def _recording_table(table, packed):
 @pytest.mark.parametrize("method", ["carry", "oracle"])
 def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatch):
     # z = 10008 > p = 10007: a table sized by the prime would take ~10^8
-    # cells. Every call packs the prefix table once, for its oracle rows,
+    # cells. Every call slices the prefix table once, for its oracle rows,
     # and builds no digit-factor table; no row of the triangle mod p, and
     # no coefficient mod p, is computed.
     packed = []
@@ -555,7 +627,7 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
 
 def test_sweep_rows_past_entry_point_on_large_prime_builds_no_table():
     # Rows 10006-10011 of p = 10007 straddle z = 10008, past which the high
-    # digit is 1. The only packing is that of the oracle rows: no table of
+    # digit is 1. The only slice is that of the oracle rows: no table of
     # ~z rows and ~z**2 / 2 bytes.
     packed = []
     profile = entry_point(10007)
@@ -582,39 +654,61 @@ def test_oracle_stride_catches_wrong_carry_valuation(corrupt_oracle):
 
 
 def test_oracle_stride_catches_wrong_carry_test(monkeypatch):
-    # A span from row 64 = 8 * 8 starts its odometer from the base-7 digits
-    # (1 1) of its quotient row 8 = 64 // 8. Give it those of 7, (0 1):
-    # block 1 then seems to hold a digit above q's, so the carry test
-    # reports a carry in 8 + 56, which has none.
-    def wrong_digits(n, p):
-        return (0, 1) if n == 8 else expand_base_p(n, p)
-
-    monkeypatch.setattr(conjecture, "expand_base_p", wrong_digits)
-    prefix = conjecture.fibotorial_valuations(79, 7)
+    # The locator is the only code that computes carry digits. Twice the
+    # exact table, its last block of quotient row 9 lowered by one, keeps
+    # every verdict of 80 rows at p = 7 but fails the certificate at row 9,
+    # so the sweep passes with the locator testing row 9. Give the locator
+    # the digits of row 8, (1 1), in place of 9's, (2 1): then 2 seems to
+    # carry in 2 + 7, which does not, where the oracle reads exponent -1.
+    table = [2 * v for v in conjecture.fibotorial_valuations(79, 7)]
+    table[72:] = [v - 1 for v in table[72:]]
+    assert conjecture._certified_rows(tuple(table[::8]), 7) == 9
+    assert conjecture._sweep_rows(entry_point(7), 0, 80, tuple(table)) is None
+    digits = conjecture._digit_exceeds
+    monkeypatch.setattr(conjecture, "_digit_exceeds",
+                        lambda j, q, p: digits(j, q - (q == 9), p))
     with pytest.raises(ArithmeticError, match=r"^carry test True disagrees with oracle "
-                                              r"exponent 0 at \(n=64, k=8, p=7\)$"):
-        conjecture._sweep_rows(entry_point(7), 64, 80, prefix)
+                                              r"exponent -1 at \(n=72, k=16, p=7\)$"):
+        conjecture._sweep_rows(entry_point(7), 0, 80, tuple(table))
 
 
-def test_sweep_rows_expands_only_its_own_rows(monkeypatch):
-    # A span expands the base-p digits of its first quotient row, 25 = 200
-    # // 8, once, and the odometer carries them through its later quotient
-    # rows, so a pooled worker whose span starts high does no digit work
-    # for the rows below it, and none per block.
-    seen = []
+def _counting_digit_test(monkeypatch, budget):
+    # Records the quotient row of every call to the locator's digit test,
+    # and fails once the calls outnumber budget.
+    rows, digits = [], conjecture._digit_exceeds
 
-    def recording(n, p):
-        seen.append(n)
-        return expand_base_p(n, p)
+    def counting(j, q, p):
+        rows.append(q)
+        assert len(rows) <= budget, "the locator tests more than one quotient row"
+        return digits(j, q, p)
 
-    monkeypatch.setattr(conjecture, "expand_base_p", recording)
-    profile = entry_point(7)
-    prefix = conjecture.fibotorial_valuations(459, 7)
-    for lo in (200, 203):
+    monkeypatch.setattr(conjecture, "_digit_exceeds", counting)
+    return rows
+
+
+def test_sweep_rows_locator_starts_at_the_certified_rows(monkeypatch):
+    # The certificate leaves the locator nothing on the exact table. With
+    # one middle block m raised by one, it fails at quotient row m, which
+    # then holds the first changed pair, as does row m + 2 for a span from
+    # its first row: the locator starts at the later of the two and raises
+    # there, one quotient row of digit tests where starting at row 0 would
+    # take about c**2 / 8 of them, c = 33,334 at p = 2 and 100,000 rows.
+    profile = entry_point(2)
+    rows, z = conjecture.MAX_SWEEP_ROWS, profile.p_star
+    true = conjecture.fibotorial_valuations(rows - 1, 2)
+    c = -(-rows // z)
+    seen = _counting_digit_test(monkeypatch, c)
+    for lo in (0, rows // 2, rows - 1):
+        assert conjecture._sweep_rows(profile, lo, rows, true) is None
+    assert seen == []
+    m = c // 2
+    table = [v + (i // z == m) for i, v in enumerate(true)]
+    assert conjecture._certified_rows(tuple(table[::z]), 2) == m
+    for lo, start in ((0, m), (m * z + 1, m), ((m + 2) * z, m + 2)):
         seen.clear()
-        assert conjecture._sweep_rows(profile, lo, 460, prefix) is None
-        assert seen == [25]
-    assert sweep_rows_per_pair(profile, 200, 460, prefix) == []
+        with pytest.raises(ArithmeticError, match="^carry test "):
+            conjecture._sweep_rows(profile, lo, rows, tuple(table))
+        assert set(seen) == {start} and len(seen) <= start + 1
 
 
 def test_oracle_mismatch_at_interior_k_names_pair_and_exponent():
