@@ -256,13 +256,15 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         raise ValueError("--rows is required unless --counterexample is given")
     # Checked before the report is opened, so a refused sweep leaves any
     # existing report as it was.
-    validate_sweep(profile, args.rows, jobs=args.jobs)
+    validate_sweep(profile, args.rows)
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     out = args.out
     if out is None:
         directory = os.environ.get(SWEEP_DIR_ENV, ".")
         out = os.path.join(directory, f"sweep_p{args.prime}_rows{args.rows}.jsonl")
     with _output_file(out) as write:
-        record = verify_conjecture(profile, args.rows, jobs=args.jobs)
+        record = verify_conjecture(profile, args.rows)
         write("".join(line + "\n" for line in record.jsonl_lines()))
     print(f"p={record.p} rows={record.rows} method=carry "
           f"counterexamples={len(record.counterexamples)} "
@@ -274,30 +276,14 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 class _Arg(NamedTuple):
     """One argument of a subcommand. name is a positional's dest or an
     option's full spelling; type converts its value (None keeps the text,
-    bool marks a flag that takes no value); help is the text, or a function
-    that gives it when it names a constant of a module a parse must not
-    load."""
+    bool marks a flag that takes no value)."""
 
     name: str
     type: Callable | None = int
     default: object = None
     choices: tuple[str, ...] | None = None
     required: bool = False
-    help: str | Callable[[], str] | None = None
-
-
-def _jobs_help() -> str:
-    from .conjecture import MIN_SPAN_PAIRS
-
-    # The fewest blocks c whose c(c + 1)/2 pairs reach the floor.
-    c = isqrt(4 * MIN_SPAN_PAIRS)
-    c += c * (c + 1) < 4 * MIN_SPAN_PAIRS
-    return ("at most this many worker processes, never more than the rows; "
-            "each sweeps one contiguous span of rows. A sweep of fewer than "
-            f"{2 * MIN_SPAN_PAIRS:,} pairs of blocks of z rows, z the entry "
-            f"point, runs in process: a pool starts from {c:,} blocks, "
-            f"{3 * c - 2:,} rows at p = 2 and {8 * c - 7:,} at p = 7 "
-            "(default: 1, in process)")
+    help: str | None = None
 
 
 _N, _K = _Arg("n"), _Arg("k")
@@ -338,7 +324,9 @@ _COMMANDS = {
         _PRIME,
         _Arg("--rows"),
         _Arg("--out", None, help=f"JSONL path (default: ${SWEEP_DIR_ENV} or cwd)"),
-        _Arg("--jobs", default=1, help=_jobs_help),
+        _Arg("--jobs", default=1,
+             help="kept for scripts that pass it: any value >= 1 is accepted, "
+                  "and the sweep runs in this process (default: %(default)s)"),
         _Arg("--counterexample", bool, False,
              help="construct the witness for primes with entry point below the prime"))),
 }
@@ -356,16 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_line, handler, table) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         for arg in table:
-            help_text = arg.help() if callable(arg.help) else arg.help
             if arg.type is bool:
-                p.add_argument(arg.name, action="store_true", help=help_text)
+                p.add_argument(arg.name, action="store_true", help=arg.help)
             elif arg.name.startswith("-"):
                 p.add_argument(arg.name, type=arg.type, default=arg.default,
                                choices=arg.choices, required=arg.required,
-                               help=help_text)
+                               help=arg.help)
             else:
                 p.add_argument(arg.name, type=arg.type, choices=arg.choices,
-                               help=help_text)
+                               help=arg.help)
         p.set_defaults(func=handler)
     return parser
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat, zip_longest
-from math import isqrt
+from itertools import zip_longest
 
 from . import radix
 from .radix import expand_base_fp
@@ -97,7 +96,7 @@ def digit_product_divisible(n: int, k: int, profile: PrimeProfile) -> bool:
 MAX_SWEEP_ROWS = 100_000
 
 
-def validate_sweep(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> None:
+def validate_sweep(profile: PrimeProfile, rows: int) -> None:
     """Reject a sweep verify_conjecture would refuse, before any work or
     output."""
     if profile.relation is Relation.LESS:
@@ -109,60 +108,29 @@ def validate_sweep(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> None:
         raise ValueError(f"rows must be >= 0, got {rows}")
     if rows > MAX_SWEEP_ROWS:
         raise ValueError(f"rows must be <= {MAX_SWEEP_ROWS}, got {rows}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
-def verify_conjecture(profile: PrimeProfile, rows: int, *, jobs: int = 1) -> SweepRecord:
+def verify_conjecture(profile: PrimeProfile, rows: int) -> SweepRecord:
     """Check the biconditional at every (n, k) with 0 <= k <= n < rows.
 
     The carry test is both sides (see _sweep_rows), so the record holds no
     disagreement; the oracle table of fibotorial_valuations confirms it at
-    every pair, and a mismatch is an arithmetic bug and raises. The rows
-    are split by _row_chunks into at most jobs contiguous spans, one per
-    worker process; a sweep too short to pay for a pool is one span and
+    every pair, and a mismatch is an arithmetic bug and raises. The sweep
     runs in this process. Arguments are checked by validate_sweep.
     """
-    validate_sweep(profile, rows, jobs=jobs)
+    validate_sweep(profile, rows)
 
     start = time.perf_counter()
     prefix = fibotorial_valuations(max(rows - 1, 0), profile.p)
-    spans = _row_chunks(rows, jobs, profile.p_star)
-    if len(spans) <= 1:
-        _sweep_rows(profile, 0, rows, prefix)
-    else:
-        # Imported here: the process machinery costs every CLI command
-        # tens of milliseconds of start-up, and only pooled sweeps use it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            list(pool.map(_sweep_rows, repeat(profile), [lo for lo, _ in spans],
-                          [hi for _, hi in spans], repeat(prefix)))
+    for lo, hi in _row_chunks(rows, 1, profile.p_star):
+        _sweep_rows(profile, lo, hi, prefix)
     return SweepRecord(profile.p, rows, (), time.perf_counter() - start)
 
 
-# A sweep packs one row per block of z rows, so the floor counts pairs of
-# blocks: c(c + 1)/4 a worker at c = 6,250, from which fresh `verify --jobs
-# 2` beat `--jobs 1` at every measured row count at both p = 2 and p = 7
-# (BENCH_pool.json); p = 163 and 10007 never reach it. Only two workers
-# were measured, so the floor decides whether a pool starts, not its size.
-MIN_SPAN_PAIRS = 6250 * 6251 // 4
-
-
+# Kept while the benchmark binds it, like _rows_mod_cache; ROADMAP item 1 deletes both.
 def _row_chunks(rows: int, jobs: int, z: int) -> list[tuple[int, int]]:
-    """Split [0, rows) into at most min(jobs, c) contiguous, non-empty spans,
-    c = ceil(rows / z) the blocks of z rows, cut at multiples of z so that
-    no two spans sweep one quotient row. The c blocks hold c(c + 1)/2 pairs
-    of blocks, so for spans of about equal pair count the i-th of j spans
-    ends near block c * sqrt(i / j). A sweep of fewer than 2 *
-    MIN_SPAN_PAIRS such pairs, too short to pay two workers' start-up, is
-    one span and runs in process."""
-    c = -(-rows // z)
-    if c * (c + 1) // 2 < 2 * MIN_SPAN_PAIRS:
-        jobs = 1
-    jobs = max(min(jobs, c), 1)
-    ends = [min(isqrt(i * c * c // jobs) * z, rows) for i in range(jobs + 1)]
-    return [(lo, hi) for lo, hi in zip(ends, ends[1:]) if lo < hi]
+    """The one span [0, rows), or none when rows is 0."""
+    return [(0, rows)] if rows else []
 
 
 def _sweep_rows(profile: PrimeProfile, lo: int, hi: int,

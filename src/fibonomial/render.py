@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import sys
+from math import comb
 from typing import NamedTuple
 
 from .core import (
     TriangleRow,
+    fibonomial,
     iter_binomial_rows_exact,
     iter_binomial_rows_mod,
     iter_fibonomial_rows_exact,
@@ -40,14 +42,18 @@ class RenderSpec(NamedTuple):
     format: str = "ascii"
 
 
-def triangle_rows(spec: RenderSpec) -> list[TriangleRow]:
-    """Materialize the rows a spec asks for."""
+def _check_spec(spec: RenderSpec) -> None:
     if spec.rows < 1:
         raise ValueError(f"need at least one row, got {spec.rows}")
     if spec.kind not in KINDS:
         raise ValueError(f"unknown triangle kind {spec.kind!r}")
     if spec.modulus is not None and spec.modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {spec.modulus}")
+
+
+def triangle_rows(spec: RenderSpec) -> list[TriangleRow]:
+    """Materialize the rows a spec asks for."""
+    _check_spec(spec)
     if spec.kind == "fibonomial":
         if spec.modulus is None:
             it = iter_fibonomial_rows_exact(spec.rows)
@@ -67,18 +73,20 @@ def _printable_rows(spec: RenderSpec) -> list[TriangleRow]:
     Exact entries are Decimals, which print at any length, so the limit is
     applied on purpose: when the largest entry, the middle of the last row
     (both kinds of row are unimodal), has more digits than a nonzero limit,
-    this raises the ValueError that printing it as an int would.
+    this raises the ValueError that printing it as an int would. It is
+    checked before any row is built: the rows cost the fourth power of
+    their count.
     """
-    rows = triangle_rows(spec)
-    if spec.modulus is None:
-        last = rows[-1].entries
-        digits = last[len(last) // 2].adjusted() + 1
-        limit = sys.get_int_max_str_digits()
-        if limit and digits > limit:
+    limit = sys.get_int_max_str_digits()
+    if spec.modulus is None and limit:
+        _check_spec(spec)
+        n = spec.rows - 1
+        middle = (fibonomial if spec.kind == "fibonomial" else comb)(n, n // 2)
+        if middle >= 10 ** limit:
             raise ValueError(
                 f"Exceeds the limit ({limit} digits) for integer string "
                 "conversion; use sys.set_int_max_str_digits() to increase the limit")
-    return rows
+    return triangle_rows(spec)
 
 
 def render(spec: RenderSpec) -> str:

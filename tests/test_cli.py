@@ -1,10 +1,7 @@
-import concurrent.futures
 import contextlib
-import faulthandler
 import inspect
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -425,6 +422,23 @@ def test_exact_triangle_keeps_the_str_limit(capsys, str_digits_640):
         assert code == 0 and out and err == "", fmt
 
 
+@pytest.mark.parametrize("fmt", ["json", "ascii"])
+@pytest.mark.parametrize("kind, rows", [("fibonomial", 600), ("binomial", 15000)])
+def test_exact_triangle_past_the_str_limit_builds_no_row(kind, rows, fmt, capsys,
+                                                         monkeypatch):
+    # The refusal is read off the last row's middle entry alone, before any
+    # row is built: rows cost the fourth power of their count.
+    def refused(count):
+        raise AssertionError(f"{count} exact rows built")
+
+    monkeypatch.setattr(sys.modules[render.__module__], f"iter_{kind}_rows_exact", refused)
+    with pytest.raises(ValueError) as limit:
+        str(10 ** sys.get_int_max_str_digits())
+    code, out, err = run(capsys, "triangle", "--rows", str(rows), "--kind", kind,
+                         "--format", fmt, "--cap", str(rows))
+    assert (code, out, err) == (2, "", f"error: {limit.value}\n")
+
+
 @pytest.mark.parametrize("command", [
     ["triangle", "--rows", "9", "--mod", "2"],
     ["verify", "--prime", "7", "--rows", "60"],
@@ -779,43 +793,6 @@ def test_verify_oracle_mismatch_leaves_no_new_report(tmp_path, capsys, corrupt_o
     assert not report.exists()
 
 
-class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
-    """A real process pool that records the worker count asked for and each
-    completed shutdown."""
-
-    events: list = []
-
-    def __init__(self, max_workers):
-        self.events.append(("start", max_workers))
-        super().__init__(max_workers)
-
-    def shutdown(self, *args, **kwargs):
-        super().shutdown(*args, **kwargs)
-        self.events.append("shutdown")
-
-
-def test_verify_pooled_oracle_mismatch_leaves_no_new_report(
-        tmp_path, capsys, corrupt_oracle, monkeypatch):
-    # The pooled twin of the test above: a worker's ArithmeticError reaches
-    # the CLI, the pool shuts down, leaving no worker process behind, and
-    # the report goes. A hang dumps the stacks and exits instead of
-    # stalling the suite.
-    monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "events", [])
-    report = tmp_path / "fresh.jsonl"
-    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)
-    try:
-        code, out, err = run(capsys, "verify", "--prime", "7", "--rows", "40",
-                             "--jobs", "2", "--out", str(report))
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-    assert _RecordingPool.events == [("start", 2), "shutdown"]
-    assert multiprocessing.active_children() == []
-    assert code == 2 and out == "" and "disagrees with oracle" in err
-    assert not report.exists()
-
-
 def test_verify_counterexample_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--prime", "11", "--counterexample")
     assert code == 1
@@ -1026,16 +1003,15 @@ def test_other_commands_fuzzed_values_exit_0_or_2_within_a_second(
 
 
 def test_verify_sweeps_in_process_by_default():
-    # A sweep uses worker processes only when asked to, and then only from
-    # the measured floor up.
+    # --jobs is kept for the scripts that pass it; its default stays 1.
     assert build_parser().parse_args(["verify", "--prime", "7"]).jobs == 1
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # Only a pooled sweep needs concurrent.futures.process, and only an
-    # exact triangle needs decimal, and only help or a malformed command
-    # needs argparse; importing any of them with the CLI would add its
-    # start-up cost to every command.
+    # No command needs concurrent.futures.process, only an exact triangle
+    # needs decimal, and only help or a malformed command needs argparse;
+    # importing any of them with the CLI would add its start-up cost to
+    # every command.
     code = ("import sys, fibonomial.cli; print([m in sys.modules for m in "
             "('concurrent.futures.process', 'decimal', 'argparse')])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1072,15 +1048,29 @@ def test_query_loads_only_the_modules_it_uses(command):
     assert done.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
-def test_short_pooled_sweep_leaves_process_pool_unloaded(tmp_path):
-    # --jobs 8 on 900 rows plans one span, so the sweep runs in process and
-    # never imports the pool machinery.
-    out = tmp_path / "sweep.jsonl"
-    code = ("import sys, fibonomial.cli as cli; "
-            "argv = ['verify', '--prime', '7', '--rows', '900', '--jobs', '8', "
-            f"'--out', {str(out)!r}]; "
-            "print(cli.main(argv), 'concurrent.futures.process' in sys.modules)")
+def test_sweep_at_any_jobs_leaves_process_pool_unloaded(tmp_path):
+    # Every sweep runs in process: --jobs 2 on 20,000 rows at p = 2 imports
+    # no pool machinery and writes the bytes --jobs 1 writes.
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"sweep_jobs{jobs}.jsonl"
+        code = ("import sys, fibonomial.cli as cli; "
+                "argv = ['verify', '--prime', '2', '--rows', '20000', '--jobs', "
+                f"{jobs!r}, '--out', {str(out)!r}]; "
+                "print(cli.main(argv), 'concurrent.futures.process' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
+        assert done.stdout.splitlines()[-1] == "0 False", jobs
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0].decode().splitlines()[0] == '{"p": 2, "rows": 20000, "method": "carry"}'
+
+
+def test_build_parser_leaves_sweep_module_unloaded():
+    # Help and malformed commands build the full parser; no help text may
+    # load the sweep module, or dataclasses with it, to print a constant.
+    code = ("import sys, fibonomial.cli as cli; cli.build_parser(); "
+            "print([m in sys.modules for m in ('fibonomial.conjecture', 'dataclasses')])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False"
-    assert out.read_text().splitlines()[0] == '{"p": 7, "rows": 900, "method": "carry"}'
+    assert done.stdout.strip() == "[False, False]"

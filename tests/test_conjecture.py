@@ -1,10 +1,9 @@
-import concurrent.futures
 import json
 import math
 import random
 import re
 import tracemalloc
-from itertools import product, zip_longest
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -112,101 +111,20 @@ def test_verify_conjecture_method_and_relation_guards():
         verify_conjecture(entry_point(7), -1)
 
 
-def test_verify_conjecture_parallel_matches_serial(monkeypatch):
-    # A floor of one pair a span lets 90 rows start a real pool.
-    monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
-    assert len(conjecture._row_chunks(90, 3, 8)) >= 2
-    prof = entry_point(7)
-    serial = verify_conjecture(prof, 90, jobs=1)
-    parallel = verify_conjecture(prof, 90, jobs=3)
-    assert serial.counterexamples == parallel.counterexamples
-    assert serial.jsonl_lines() == parallel.jsonl_lines()
+def test_row_chunks_is_one_span_of_every_row():
+    # The benchmark's traced sweep check reads these spans as a partition
+    # of [0, rows), whatever --jobs is.
+    assert [conjecture._row_chunks(rows, jobs, 8) for rows, jobs in
+            ((0, 1), (1, 2), (900, 8))] == [[], [(0, 1)], [(0, 900)]]
 
 
-def test_row_chunks_split_rows_into_balanced_spans(monkeypatch):
-    # jobs = 10**9 returns at once: the split costs O(min(jobs, rows)). The
-    # lowered floors put the step from one span to a pool inside the rows
-    # tried. Spans are cut at multiples of z and balanced in pairs of
-    # blocks of z rows, the quotient pairs a sweep checks.
-    for z, floor in product((1, 3, 8), (1, 2, 7, 100, conjecture.MIN_SPAN_PAIRS)):
-        monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", floor)
-        for rows in range(61 * z):
-            blocks = -(-rows // z)
-            total = blocks * (blocks + 1) // 2
-            for jobs in (*range(1, 10), rows, rows + 1, 10 ** 9):
-                spans = conjecture._row_chunks(rows, jobs, z)
-                assert [n for lo, hi in spans for n in range(lo, hi)] == list(range(rows))
-                assert all(lo < hi and lo % z == 0 for lo, hi in spans)
-                assert len(spans) <= min(jobs, blocks)
-                if total < 2 * floor:
-                    assert len(spans) == min(rows, 1)
-                else:
-                    assert len(spans) >= min(jobs, 2)
-                pairs = [(-(-hi // z) * (-(-hi // z) + 1) - lo // z * (lo // z + 1)) // 2
-                         for lo, hi in spans]
-                assert all(x <= total / len(spans) + blocks for x in pairs), (rows, jobs, spans)
-
-
-def test_row_chunks_start_a_pool_at_the_measured_floor():
-    # The floor is the quotient pairs per worker of the shortest sweep at
-    # which two workers beat one at every longer one measured: 6,250 blocks
-    # of z rows. From there on a sweep gets one worker per job, as many as
-    # it asks for.
-    assert conjecture.MIN_SPAN_PAIRS == 6250 * 6251 // 4
-    for z in (3, 8, 164):
-        for jobs in (1, 2, 8, 10 ** 9):
-            assert len(conjecture._row_chunks(6249 * z, jobs, z)) == 1
-        for rows in (6249 * z + 1, 6250 * z, 7000 * z, 9000 * z):
-            assert [len(conjecture._row_chunks(rows, jobs, z))
-                    for jobs in (1, 2, 3, 8)] == [1, 2, 3, 8]
-        assert len(conjecture._row_chunks(6250 * z, 10 ** 9, z)) > 8
-    for rows in (0, 1, 900):
-        assert len(conjecture._row_chunks(rows, 1, 8)) == min(rows, 1)
-
-
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: runs map in this process and
-    records the worker count asked for."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-@pytest.mark.parametrize("rows, jobs", [(10, 50), (200, 8)])
-def test_verify_conjecture_pool_has_one_worker_per_span(rows, jobs, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
-    monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
-    assert len(conjecture._row_chunks(rows, jobs, 8)) >= 2
-    prof = entry_point(7)
-    pooled = verify_conjecture(prof, rows, jobs=jobs)
-    assert _InProcessPool.sizes == [len(conjecture._row_chunks(rows, jobs, 8))]
-    assert _InProcessPool.sizes[0] <= min(rows, jobs)
-    serial = verify_conjecture(prof, rows, jobs=1)
-    assert pooled.jsonl_lines() == serial.jsonl_lines()
-    assert pooled.counterexamples == serial.counterexamples
-
-
-def test_verify_conjecture_short_sweep_starts_no_pool(monkeypatch):
-    # 900 rows are far below the 49,993 at which a pool pays for its
-    # start-up at p = 7, so --jobs 8 sweeps in process.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
-    prof = entry_point(7)
-    record = verify_conjecture(prof, 900, jobs=8)
-    assert _InProcessPool.sizes == []
-    assert record.jsonl_lines() == verify_conjecture(prof, 900, jobs=1).jsonl_lines()
+def _block_spans(rows, z):
+    # [0, rows) in at most three contiguous spans cut at multiples of z, as
+    # many as the rows hold blocks of z.
+    blocks = -(-rows // z)
+    parts = min(3, blocks)
+    ends = [min(i * blocks // parts * z, rows) for i in range(parts + 1)]
+    return list(zip(ends, ends[1:]))
 
 
 def _sweeps_agree(p, rows, method="oracle", stride=0):
@@ -218,11 +136,8 @@ def _sweeps_agree(p, rows, method="oracle", stride=0):
     profile = entry_point(p)
     prefix = conjecture.fibotorial_valuations(rows - 1, p)
     assert conjecture._sweep_rows(profile, 0, rows, prefix) is None
-    # A floor of one pair a span gives a short sweep three spans too.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
-        spans = conjecture._row_chunks(rows, 3, profile.p_star)
-    assert len(spans) == min(3, -(-rows // profile.p_star))
+    spans = _block_spans(rows, profile.p_star)
+    assert [n for lo, hi in spans for n in range(lo, hi)] == list(range(rows))
     for lo, hi in spans:
         assert conjecture._sweep_rows(profile, lo, hi, prefix) is None
     assert sweep_rows_per_pair(profile, 0, rows, prefix, method, stride) == []
@@ -619,10 +534,9 @@ def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatc
     monkeypatch.setattr(conjecture, "fibotorial_valuations",
                         lambda limit, p: _recording_table(oracle(limit, p), packed))
     monkeypatch.setattr(core, "_weighted_rows", refused)
-    monkeypatch.setattr(conjecture, "MIN_SPAN_PAIRS", 1)
     assert entry_point(10007).p_star == 10008
     _sweeps_agree(10007, 30, method, 1)
-    assert packed == [30] + [hi for _, hi in conjecture._row_chunks(30, 3, 10008)]
+    assert packed == [30] + [hi for _, hi in _block_spans(30, 10008)]
 
 
 def test_sweep_rows_past_entry_point_on_large_prime_builds_no_table():

@@ -80,6 +80,8 @@ def test_benchmark_bindings_resolve(tmp_path):
         (["expand", "100", "--base", "Fp", "--prime", "7"], 0),
         (["lucas", "10", "3", "--prime", "7"], 0),
         (["verify", "--prime", "7", "--rows", "20", "--out", str(tmp_path / "v.jsonl")], 0),
+        (["verify", "--prime", "7", "--rows", "20", "--jobs", "2",
+          "--out", str(tmp_path / "v2.jsonl")], 0),
         (["verify", "--prime", "11", "--counterexample"], 1),
         (["triangle", "--rows", "5", "--mod", "3", "--format", "pgm",
           "--out", str(tmp_path / "t.pgm")], 0),
