@@ -96,11 +96,10 @@ def _words(m: int) -> int:
     return max((m.bit_length() + 29) // 30, 1)
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
+def _check_cap(n: int, cap: int, what: str, fix: str = "pass --mod for residues") -> None:
     if n > cap:
         raise ValueError(
-            f"{what} at n={n} exceeds the exact-size cap {cap}; "
-            "pass --mod for residues or raise --cap")
+            f"{what} at n={n} exceeds the exact-size cap {cap}; {fix} or raise --cap")
 
 
 @contextmanager
@@ -193,7 +192,7 @@ def _cmd_valuation(args: SimpleNamespace) -> int:
     if args.method == "carry":
         val = carry_valuation(args.k, args.n - args.k, profile)
     else:
-        _check_cap(args.n, args.cap, "oracle valuation")
+        _check_cap(args.n, args.cap, "oracle valuation", "use --method carry")
         val = nu_p_fibonomial_oracle(args.n, args.k, args.prime)
     _emit(args, val.exponent,
           {"n": args.n, "k": args.k, "p": args.prime,

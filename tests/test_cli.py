@@ -78,6 +78,22 @@ def test_exact_cap_is_enforced_and_adjustable(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, fix, follow", [
+    ("fib 10 --cap 5", "pass --mod for residues", "--mod 7"),
+    ("fibonomial 10 5 --cap 5", "pass --mod for residues", "--mod 7"),
+    ("triangle --rows 7 --cap 5", "pass --mod for residues", "--mod 7"),
+    ("valuation 10 5 --prime 7 --method oracle --cap 5", "use --method carry", "--method carry"),
+], ids=["fib", "fibonomial", "triangle", "valuation"])
+def test_exact_cap_hint_names_an_option_of_its_command(capsys, argv, fix, follow):
+    # The refusal names a way past the cap that its own command accepts,
+    # and following it answers.
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.endswith(f"exceeds the exact-size cap 5; {fix} or raise --cap\n"), err
+    code, out, err = run(capsys, *argv.split(), *follow.split())
+    assert (code, err) == (0, "") and out
+
+
 def test_coefficient_mod_m_window_is_bounded(capsys, monkeypatch):
     # A window of j = min(k, n - k) ratios above the bound is refused before
     # any of them is taken, naming j and the bound; j at the bound answers.

@@ -118,28 +118,14 @@ def test_row_chunks_is_one_span_of_every_row():
             ((0, 1), (1, 2), (900, 8))] == [[], [(0, 1)], [(0, 900)]]
 
 
-def _block_spans(rows, z):
-    # [0, rows) in at most three contiguous spans cut at multiples of z, as
-    # many as the rows hold blocks of z.
-    blocks = -(-rows // z)
-    parts = min(3, blocks)
-    ends = [min(i * blocks // parts * z, rows) for i in range(parts + 1)]
-    return list(zip(ends, ends[1:]))
-
-
 def _sweeps_agree(p, rows, method="oracle", stride=0):
-    # The sweep passes its oracle check whole and in three spans (fewer
-    # where the rows hold fewer blocks of z), and the per-pair reference,
-    # which computes the digit product on its own, finds no disagreement.
-    # method and stride choose how the reference takes its left-hand side;
-    # the sweep itself has one path.
+    # The sweep passes its oracle check over every pair of rows, and the
+    # per-pair reference, which computes the digit product on its own, finds
+    # no disagreement. method and stride choose how the reference takes its
+    # left-hand side; the sweep itself has one path.
     profile = entry_point(p)
     prefix = conjecture.fibotorial_valuations(rows - 1, p)
-    assert conjecture._sweep_rows(profile, 0, rows, prefix) is None
-    spans = _block_spans(rows, profile.p_star)
-    assert [n for lo, hi in spans for n in range(lo, hi)] == list(range(rows))
-    for lo, hi in spans:
-        assert conjecture._sweep_rows(profile, lo, hi, prefix) is None
+    assert conjecture._sweep_rows(profile, prefix) is None
     assert sweep_rows_per_pair(profile, 0, rows, prefix, method, stride) == []
 
 
@@ -153,9 +139,11 @@ def test_sweep_rows_matches_per_pair_loop(p, rows, method, stride):
 
 
 def _spans_at_place_values(p):
-    # Spans around each place value P = z * p**j, j = 0, 1, 2, up to 30,000:
-    # the last row just below, at and just above P, whole from row 0 where
-    # that is cheap, and from rows inside the digit block below P.
+    # Tables ending around each place value P = z * p**j, j = 0, 1, 2, up
+    # to 30,000: the last row just below, at and just above P. Each span is
+    # the rows [lo, hi) that the per-pair reference checks: from row 0 where
+    # that is cheap, otherwise the last three rows, and from rows inside the
+    # digit block below P.
     z = entry_point(p).p_star
     for place in (z, z * p, z * p * p):
         if place <= 30_000:
@@ -175,9 +163,9 @@ SWEEP_PRIMES = [2, 3, 5, 7, 23, 43, 103, 163]
     (10007, 0, 30), (10007, 17, 30),
 ])
 def test_sweep_rows_matches_per_pair_loop_at_place_values(p, lo, hi):
-    # The row's bits are joined digit by digit, so the digit boundaries and
-    # rows 0 and 1 are where a wrong block length, copy count or cut would
-    # make the oracle check raise.
+    # The sweep checks every pair of rows [0, hi), digit place by digit
+    # place, so the digit boundaries and rows 0 and 1 are where a wrong block
+    # length, place or quotient range would make the oracle check raise.
     profile = entry_point(p)
     prefix = conjecture.fibotorial_valuations(hi - 1, p)
     bad = sweep_rows_per_pair(profile, lo, hi, prefix)
@@ -187,7 +175,7 @@ def test_sweep_rows_matches_per_pair_loop_at_place_values(p, lo, hi):
         # whenever the coefficient is, and only the converse can fail.
         assert all(v.rhs_divisible and not v.lhs_divisible for v in bad)
         return
-    assert conjecture._sweep_rows(profile, lo, hi, prefix) is None
+    assert conjecture._sweep_rows(profile, prefix) is None
     assert bad == []
 
 
@@ -196,10 +184,11 @@ DENSE_PRIMES = [2, 3, 5, 7, 23, 43, 67, 83, 103, 127, 163, 167, 223, 227, 283, 3
 
 
 def _spans_around_blocks(p):
-    # Spans ending at z - 1, z, z + 1, z * p - 1, z * p + 1 and 300: up to
-    # 300 rows, whole from row 0 and from inside a block, one row into the
-    # last block or past the middle of block 0; past that, the last row
-    # alone, z * p - 2 inside a block and z * p at its start.
+    # Tables ending at z - 1, z, z + 1, z * p - 1, z * p + 1 and 300, each
+    # with the rows [lo, hi) that the per-pair reference checks: up to 300
+    # rows, every row and the rows from inside a block, one row into the last
+    # block or past the middle of block 0; past that, the last row alone,
+    # z * p - 2 inside a block and z * p at its start.
     z = entry_point(p).p_star
     for hi in sorted({z - 1, z, z + 1, z * p - 1, z * p + 1, 300}):
         if hi > 300:
@@ -219,7 +208,7 @@ def test_sweep_rows_matches_per_pair_loop_around_blocks(p):
     profile = entry_point(p)
     prefix = conjecture.fibotorial_valuations(max(profile.p_star * p, 299), p)
     for lo, hi in _spans_around_blocks(p):
-        assert conjecture._sweep_rows(profile, lo, hi, prefix) is None, (lo, hi)
+        assert conjecture._sweep_rows(profile, prefix[:hi]) is None, hi
         assert sweep_rows_per_pair(profile, lo, hi, prefix) == [], (lo, hi)
 
 
@@ -238,9 +227,11 @@ def test_certified_rows_cover_the_exact_table(p):
 @given(st.sampled_from(SWEEP_PRIMES), st.integers(0, 700), st.integers(1, 12))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_sweep_rows_matches_per_pair_loop_sampled(p, lo, rows):
+    # Tables of up to 712 rows pass whole, and the per-pair reference finds
+    # no disagreement on their last 1 to 12 rows.
     profile = entry_point(p)
     prefix = conjecture.fibotorial_valuations(lo + rows - 1, p)
-    assert conjecture._sweep_rows(profile, lo, lo + rows, prefix) is None
+    assert conjecture._sweep_rows(profile, prefix) is None
     assert sweep_rows_per_pair(profile, lo, lo + rows, prefix) == []
 
 
@@ -248,10 +239,10 @@ def _divisible(x, n, k):
     return x[n] - x[k] - x[n - k] >= 1
 
 
-def _first_changed_pair(table, true, lo, hi):
-    # The first pair (n, k) of rows [lo, hi), in row-major order, whose
+def _first_changed_pair(table, true):
+    # The first pair (n, k) of the table's rows, in row-major order, whose
     # verdict differs between the two tables, or None; one row at a time.
-    for n in range(lo, hi):
+    for n in range(len(table)):
         row = [table[n] - table[k] - table[n - k] >= 1 for k in range(n + 1)]
         want = [true[n] - true[k] - true[n - k] >= 1 for k in range(n + 1)]
         if row != want:
@@ -259,21 +250,21 @@ def _first_changed_pair(table, true, lo, hi):
     return None
 
 
-def _assert_sweep_flags_changed_verdicts(p, lo, hi, table):
+def _assert_sweep_flags_changed_verdicts(p, table):
     # The exact table's verdicts are the carry test's. A sweep over a
-    # changed table must pass when every pair of rows [lo, hi) keeps its
-    # verdict, and otherwise raise naming the first pair that changed, which
-    # is returned (None when the sweep passed).
-    true = conjecture.fibotorial_valuations(hi - 1, p)
-    changed = _first_changed_pair(table, true, lo, hi)
+    # changed table must pass when every pair of its rows keeps its verdict,
+    # and otherwise raise naming the first pair that changed, which is
+    # returned (None when the sweep passed).
+    true = conjecture.fibotorial_valuations(len(table) - 1, p)
+    changed = _first_changed_pair(table, true)
     if changed is None:
-        assert conjecture._sweep_rows(entry_point(p), lo, hi, tuple(table)) is None
+        assert conjecture._sweep_rows(entry_point(p), tuple(table)) is None
         return None
     n, k = changed
     message = (f"carry test {_divisible(true, n, k)} disagrees with oracle exponent "
                f"{table[n] - table[k] - table[n - k]} at (n={n}, k={k}, p={p})")
     with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
-        conjecture._sweep_rows(entry_point(p), lo, hi, tuple(table))
+        conjecture._sweep_rows(entry_point(p), tuple(table))
     return changed
 
 
@@ -307,29 +298,27 @@ def _seeded_corruption(rng):
 
 def test_certified_rows_keep_every_verdict_of_seeded_corruptions():
     # Over 3,000 seeded corruptions, no pair of rows below the L quotient
-    # rows that the certificate passes changes its verdict, and the sweep,
-    # from row 0 or from a drawn row, passes where no pair of its rows
-    # changed and otherwise names the first that did. A table that steps
-    # inside a block or holds a negative entry is refused before that. Each
-    # outcome occurs: refused, all rows certified, and fewer certified with
-    # or without a changed verdict.
+    # rows that the certificate passes changes its verdict, and the sweep
+    # passes where no pair of rows changed and otherwise names the first
+    # that did. A table that steps inside a block or holds a negative entry
+    # is refused before that. Each outcome occurs: refused, all rows
+    # certified, and fewer certified with or without a changed verdict.
     rng = random.Random(31)
     outcomes = {}
     for _ in range(3000):
         p, table = _seeded_corruption(rng)
         z, rows = entry_point(p).p_star, len(table)
-        lo = rng.choice((0, rng.randrange(rows)))
         if _first_step_in_block(table, z) is not None or min(table) < 0:
             with pytest.raises(ArithmeticError, match="^oracle table (steps|is negative) "):
-                conjecture._sweep_rows(entry_point(p), lo, rows, tuple(table))
+                conjecture._sweep_rows(entry_point(p), tuple(table))
             outcome = "refused"
         else:
             heads = tuple(table[::z])
             certified = conjecture._certified_rows(heads, p)
             true = conjecture.fibotorial_valuations(rows - 1, p)
-            changed = _first_changed_pair(table, true, 0, rows)
+            changed = _first_changed_pair(table, true)
             assert changed is None or changed[0] >= certified * z, (p, table)
-            _assert_sweep_flags_changed_verdicts(p, lo, rows, table)
+            _assert_sweep_flags_changed_verdicts(p, table)
             outcome = (certified == len(heads), changed is None)
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
     assert set(outcomes) == {"refused", (True, True), (False, True), (False, False)}
@@ -343,8 +332,7 @@ def test_sweep_rows_raises_exactly_where_a_bumped_entry_changes_a_verdict(p):
     # Each whole block, and each block with all that follow it, raised and
     # lowered by one keeps the table constant on blocks: the sweep passes
     # where every verdict holds and otherwise names the first pair that
-    # changed. Both on the whole span and on spans that open inside a block,
-    # one at its last row, where no pair has a larger units digit of k.
+    # changed.
     z = entry_point(p).p_star
     rows = 4 * z + 7
     true = conjecture.fibotorial_valuations(rows - 1, p)
@@ -355,29 +343,26 @@ def test_sweep_rows_raises_exactly_where_a_bumped_entry_changes_a_verdict(p):
             if table[i] < 0:
                 continue
             step_at = _first_step_in_block(table, z)
-            for lo in (0, 2 * z + 1):
-                if step_at is None:  # the lone entry of the last block
-                    _assert_sweep_flags_changed_verdicts(p, lo, rows, table)
-                    continue
-                m = step_at - step_at % z
-                message = (f"oracle table steps inside a block at i={step_at}: "
-                           f"{table[step_at]} against {table[m]} at i={m} (z={z}, p={p})")
-                with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
-                    conjecture._sweep_rows(entry_point(p), lo, rows, tuple(table))
+            if step_at is None:  # the lone entry of the last block
+                _assert_sweep_flags_changed_verdicts(p, table)
+                continue
+            m = step_at - step_at % z
+            message = (f"oracle table steps inside a block at i={step_at}: "
+                       f"{table[step_at]} against {table[m]} at i={m} (z={z}, p={p})")
+            with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+                conjecture._sweep_rows(entry_point(p), tuple(table))
     for m in range(0, rows, z):
         for end in (m + z, rows):
             for step in (1, -1):
                 table = [v + step * (m <= i < end) for i, v in enumerate(true)]
                 if min(table) >= 0:
-                    for lo in (0, 2 * z + 1, 3 * z - 1):
-                        _assert_sweep_flags_changed_verdicts(p, lo, rows, table)
+                    _assert_sweep_flags_changed_verdicts(p, table)
 
 
 @pytest.mark.parametrize("p", DENSE_PRIMES)
 def test_sweep_rows_catches_every_single_entry_change(p):
     # Every entry of the exact table over 4z + 7 rows, raised and lowered
-    # by one, on a span that opens inside block 2: the sweep raises, for
-    # entries below the span too. The one entry it may pass is one alone in
+    # by one: the sweep raises. The one entry it may pass is one alone in
     # the last block, which no block step shows, and then only if every
     # verdict holds.
     z = entry_point(p).p_star
@@ -388,50 +373,44 @@ def test_sweep_rows_catches_every_single_entry_change(p):
             table = list(true)
             table[i] += step
             if i == rows - 1 == i - i % z:
-                _assert_sweep_flags_changed_verdicts(p, 2 * z + 1, rows, table)
+                _assert_sweep_flags_changed_verdicts(p, table)
                 continue
             with pytest.raises(ArithmeticError):
-                conjecture._sweep_rows(entry_point(p), 2 * z + 1, rows, tuple(table))
+                conjecture._sweep_rows(entry_point(p), tuple(table))
 
 
 @pytest.mark.parametrize("p, rows", [(3, 823), (5, 823), (7, 823), (163, 683)])
 def test_sweep_rows_flags_changed_blocks_at_benchmark_scale(p, rows):
     # Sweeps as long as the benchmark's: up to 206 quotient rows, where the
     # tests above stop at 7 quotient rows, and past the first place z * p. The
-    # exact table passes from row 0 and from inside a middle block. Block 1,
-    # a middle block and the last block, each raised and lowered by one,
-    # alone and with every block after it, keep the table constant on
-    # blocks: the sweep passes where every verdict holds and otherwise names
-    # the first pair that changed, from both starts. Here every such change
-    # reaches a verdict, in both classes of pair.
+    # exact table passes. Block 1, a middle block and the last block, each
+    # raised and lowered by one, alone and with every block after it, keep
+    # the table constant on blocks: the sweep passes where every verdict
+    # holds and otherwise names the first pair that changed. Here every such
+    # change reaches a verdict, in both classes of pair.
     profile = entry_point(p)
     z = profile.p_star
     true = conjecture.fibotorial_valuations(rows - 1, p)
     c = -(-rows // z)
-    middle = c // 2 * z
-    for lo in (0, middle + z // 2):
-        assert conjecture._sweep_rows(profile, lo, rows, true) is None
+    assert conjecture._sweep_rows(profile, true) is None
     changed = []
-    for m in (z, middle, (c - 1) * z):
+    for m in (z, c // 2 * z, (c - 1) * z):
         for end in (m + z, rows):
             for step in (1, -1):
                 table = [v + step * (m <= i < end) for i, v in enumerate(true)]
-                for lo in (0, middle + z // 2):
-                    changed.append(_assert_sweep_flags_changed_verdicts(p, lo, rows, table))
+                changed.append(_assert_sweep_flags_changed_verdicts(p, table))
     assert None not in changed
     assert any(k % z > n % z for n, k in changed)
 
 
 def test_sweep_rows_refuses_a_negative_table():
     # A block set below zero keeps the table constant on blocks, but no
-    # valuation is negative: the sweep raises at the first negative index,
-    # from any start.
+    # valuation is negative: the sweep raises at the first negative index.
     table = list(conjecture.fibotorial_valuations(39, 7))
     table[16:24] = [-1] * 8
-    for lo in (0, 30):
-        with pytest.raises(ArithmeticError, match=r"^oracle table is negative at i=16: -1 "
-                                                  r"\(z=8, p=7\)$"):
-            conjecture._sweep_rows(entry_point(7), lo, 40, tuple(table))
+    with pytest.raises(ArithmeticError, match=r"^oracle table is negative at i=16: -1 "
+                                              r"\(z=8, p=7\)$"):
+        conjecture._sweep_rows(entry_point(7), tuple(table))
 
 
 def _table_topped_at(top, rng):
@@ -462,24 +441,21 @@ def _raise_block(table, z, rng, value=None):
 def test_sweep_rows_oracle_at_every_field_width():
     # Tables of every bit length up to 65: seeded tables with the same
     # verdicts as the exact one, their largest value at 2**w - 1 and at
-    # 2**w, pass whole and from a random row; the same tables with one block
-    # raised by one, and exact tables with one block set to that largest
-    # value, so that rows after it have smaller totals, raise exactly where
-    # a verdict changes.
+    # 2**w, pass; the same tables with one block raised by one, and exact
+    # tables with one block set to that largest value, so that rows after it
+    # have smaller totals, raise exactly where a verdict changes.
     rng = random.Random(23)
     for w in range(1, 65):
         for top in (2 ** w - 1, 2 ** w):
             p, table = _table_topped_at(top, rng)
             z = entry_point(p).p_star
             assert max(table) == top
-            lo = rng.randrange(len(table))
-            for start in (0, lo):
-                _assert_sweep_flags_changed_verdicts(p, start, len(table), table)
+            assert _assert_sweep_flags_changed_verdicts(p, table) is None
             _raise_block(table, z, rng)
-            _assert_sweep_flags_changed_verdicts(p, lo, len(table), table)
+            _assert_sweep_flags_changed_verdicts(p, table)
             table = list(conjecture.fibotorial_valuations(len(table) - 1, p))
             _raise_block(table, z, rng, top)
-            _assert_sweep_flags_changed_verdicts(p, 0, len(table), table)
+            _assert_sweep_flags_changed_verdicts(p, table)
 
 
 def test_digit_factor_table_from_prefix_matches_triangle_mod_p():
@@ -494,8 +470,7 @@ def test_digit_factor_table_from_prefix_matches_triangle_mod_p():
         z = profile.p_star
         classes.add(profile.relation is Relation.LESS)
         size = max(z, p)
-        assert conjecture._sweep_rows(
-            profile, 0, size, fibotorial_valuations(size - 1, p)) is None
+        assert conjecture._sweep_rows(profile, fibotorial_valuations(size - 1, p)) is None
         carries = [[k % z > n % z or k // z > n // z for k in range(n + 1)]
                     for n in range(size)]
         zeros = [[e == 0 for e in row.entries]
@@ -506,55 +481,41 @@ def test_digit_factor_table_from_prefix_matches_triangle_mod_p():
     assert classes == {True, False}
 
 
-def _recording_table(table, packed):
-    # The prefix table, recording the length of every slice taken from it:
-    # the sweep takes its rows of the oracle as one slice.
-    class Recording(tuple):
-        def __getitem__(self, i):
-            value = tuple.__getitem__(self, i)
-            if isinstance(i, slice):
-                packed.append(len(value))
-            return value
-
-    return Recording(table)
+def _peak_bytes(call):
+    # The peak of memory that call allocates, by tracemalloc.
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("method", ["carry", "oracle"])
 def test_sweep_rows_on_large_prime_builds_table_for_rows_only(method, monkeypatch):
     # z = 10008 > p = 10007: a table sized by the prime would take ~10^8
-    # cells. Every call slices the prefix table once, for its oracle rows,
-    # and builds no digit-factor table; no row of the triangle mod p, and
-    # no coefficient mod p, is computed.
-    packed = []
-    oracle = conjecture.fibotorial_valuations
-
+    # cells. The sweep builds its oracle table for its rows and no
+    # digit-factor table; no row of the triangle mod p, and no coefficient
+    # mod p, is computed.
     def refused(*args, **kwargs):
         raise AssertionError(f"coefficients mod p computed with {args}")
 
-    monkeypatch.setattr(conjecture, "fibotorial_valuations",
-                        lambda limit, p: _recording_table(oracle(limit, p), packed))
     monkeypatch.setattr(core, "_weighted_rows", refused)
     assert entry_point(10007).p_star == 10008
-    _sweeps_agree(10007, 30, method, 1)
-    assert packed == [30] + [hi for _, hi in _block_spans(30, 10008)]
+    peak = _peak_bytes(lambda: _sweeps_agree(10007, 30, method, 1))
+    assert peak < 8 * 2**20, peak
 
 
 def test_sweep_rows_past_entry_point_on_large_prime_builds_no_table():
-    # Rows 10006-10011 of p = 10007 straddle z = 10008, past which the high
-    # digit is 1. The only slice is that of the oracle rows: no table of
-    # ~z rows and ~z**2 / 2 bytes.
-    packed = []
+    # Rows 0-10011 of p = 10007 straddle z = 10008, past which the high
+    # digit is 1. The sweep holds no table of ~z rows and ~z**2 / 2 bytes,
+    # and the per-pair reference agrees on the last six rows.
     profile = entry_point(10007)
     assert profile.p_star == 10008
-    prefix = _recording_table(conjecture.fibotorial_valuations(10011, 10007), packed)
-    tracemalloc.start()
-    try:
-        got = conjecture._sweep_rows(profile, 10006, 10012, prefix)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert packed == [10012]
-    assert got is None
+    prefix = conjecture.fibotorial_valuations(10011, 10007)
+    got = []
+    peak = _peak_bytes(lambda: got.append(conjecture._sweep_rows(profile, prefix)))
+    assert got == [None]
     assert sweep_rows_per_pair(profile, 10006, 10012, prefix) == []
     assert peak < 8 * 2**20, peak
 
@@ -577,13 +538,13 @@ def test_oracle_stride_catches_wrong_carry_test(monkeypatch):
     table = [2 * v for v in conjecture.fibotorial_valuations(79, 7)]
     table[72:] = [v - 1 for v in table[72:]]
     assert conjecture._certified_rows(tuple(table[::8]), 7) == 9
-    assert conjecture._sweep_rows(entry_point(7), 0, 80, tuple(table)) is None
+    assert conjecture._sweep_rows(entry_point(7), tuple(table)) is None
     digits = conjecture._digit_exceeds
     monkeypatch.setattr(conjecture, "_digit_exceeds",
                         lambda j, q, p: digits(j, q - (q == 9), p))
     with pytest.raises(ArithmeticError, match=r"^carry test True disagrees with oracle "
                                               r"exponent -1 at \(n=72, k=16, p=7\)$"):
-        conjecture._sweep_rows(entry_point(7), 0, 80, tuple(table))
+        conjecture._sweep_rows(entry_point(7), tuple(table))
 
 
 def _counting_digit_test(monkeypatch, budget):
@@ -603,41 +564,67 @@ def _counting_digit_test(monkeypatch, budget):
 def test_sweep_rows_locator_starts_at_the_certified_rows(monkeypatch):
     # The certificate leaves the locator nothing on the exact table. With
     # one middle block m raised by one, it fails at quotient row m, which
-    # then holds the first changed pair, as does row m + 2 for a span from
-    # its first row: the locator starts at the later of the two and raises
-    # there, one quotient row of digit tests where starting at row 0 would
-    # take about c**2 / 8 of them, c = 33,334 at p = 2 and 100,000 rows.
+    # then holds the first changed pair: the locator starts there and raises,
+    # one quotient row of digit tests where starting at row 0 would take
+    # about c**2 / 8 of them, c = 33,334 at p = 2 and 100,000 rows.
     profile = entry_point(2)
     rows, z = conjecture.MAX_SWEEP_ROWS, profile.p_star
     true = conjecture.fibotorial_valuations(rows - 1, 2)
     c = -(-rows // z)
     seen = _counting_digit_test(monkeypatch, c)
-    for lo in (0, rows // 2, rows - 1):
-        assert conjecture._sweep_rows(profile, lo, rows, true) is None
+    assert conjecture._sweep_rows(profile, true) is None
     assert seen == []
     m = c // 2
     table = [v + (i // z == m) for i, v in enumerate(true)]
     assert conjecture._certified_rows(tuple(table[::z]), 2) == m
-    for lo, start in ((0, m), (m * z + 1, m), ((m + 2) * z, m + 2)):
-        seen.clear()
-        with pytest.raises(ArithmeticError, match="^carry test "):
-            conjecture._sweep_rows(profile, lo, rows, tuple(table))
-        assert set(seen) == {start} and len(seen) <= start + 1
+    with pytest.raises(ArithmeticError, match="^carry test "):
+        conjecture._sweep_rows(profile, tuple(table))
+    assert set(seen) == {m} and len(seen) <= m + 1
 
 
 def test_oracle_mismatch_at_interior_k_names_pair_and_exponent():
-    # Move the oracle's block [8, 16) of p = 7 by one and sweep from row 21
-    # = 2 * 8 + 5. Lowered, 8 + 13 carries nowhere in the entry-point base
-    # (8, 7, ...), yet the oracle reads exponent 2 at k = 8, the first k of
-    # row 21 whose quotient terms it changes. Raised, 6 + 15 carries in the
-    # units column, yet the oracle reads exponent 0 at k = 6, the first k
-    # past 5 whose terms it changes.
-    for step, verdict, exponent, k in [(-1, False, 2, 8), (1, True, 0, 6)]:
+    # Move the oracle's block [8, 16) of p = 7 by one. Lowered to block 0's
+    # value, 1 + 7 carries in the units column of the entry-point base
+    # (8, 7, ...), yet the oracle reads exponent 0 at (8, 1), the first pair
+    # whose terms it changes. Raised, every pair of rows 8-15 keeps its
+    # verdict, and 1 + 15 carries in the units column, yet the oracle reads
+    # exponent 2 - 0 - 2 = 0 at (16, 1), the first pair of row 16 whose
+    # terms it changes.
+    for step, n in [(-1, 8), (1, 16)]:
         prefix = list(conjecture.fibotorial_valuations(39, 7))
         prefix[8:16] = [v + step for v in prefix[8:16]]
-        with pytest.raises(ArithmeticError, match=f"^carry test {verdict} disagrees with oracle "
-                                                  rf"exponent {exponent} at \(n=21, k={k}, p=7\)$"):
-            conjecture._sweep_rows(entry_point(7), 21, 40, tuple(prefix))
+        with pytest.raises(ArithmeticError, match=r"^carry test True disagrees with oracle "
+                                                  rf"exponent 0 at \(n={n}, k=1, p=7\)$"):
+            conjecture._sweep_rows(entry_point(7), tuple(prefix))
+
+
+@pytest.mark.parametrize("p", [2, 7, 23])
+def test_sweep_rows_reads_the_last_row_of_the_table(p):
+    # Tables of every length r from 1 to 3z + 2 end at every offset of a
+    # block, on the first three quotient rows. The exact table passes. Its
+    # last entry moved by -1, +1 or +2 steps inside its block at i = r - 1
+    # unless that entry opens a block; then the sweep raises at the first
+    # pair whose verdict changed, or, past zero, at the negative entry, and
+    # passes where no verdict changed.
+    z = entry_point(p).p_star
+    true = conjecture.fibotorial_valuations(3 * z + 1, p)
+    outcomes = set()
+    for r in range(1, 3 * z + 3):
+        assert conjecture._sweep_rows(entry_point(p), true[:r]) is None
+        for step in (-1, 1, 2):
+            table = [*true[:r - 1], true[r - 1] + step]
+            i, m = r - 1, (r - 1) // z * z
+            if i > m:
+                message = (f"oracle table steps inside a block at i={i}: "
+                           f"{table[i]} against {table[m]} at i={m} (z={z}, p={p})")
+            elif table[i] < 0:
+                message = f"oracle table is negative at i={i}: {table[i]} (z={z}, p={p})"
+            else:
+                outcomes.add(_assert_sweep_flags_changed_verdicts(p, table) is None)
+                continue
+            with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+                conjecture._sweep_rows(entry_point(p), tuple(table))
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("p, witness", [

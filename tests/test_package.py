@@ -127,6 +127,24 @@ def test_library_imports_are_used():
                     assert name in used, f"{path.name}:{node.lineno} imports {name} unused"
 
 
+def test_library_imports_only_the_standard_library():
+    # pyproject declares no dependencies, so every import in the package,
+    # inside functions too, is relative or of a standard-library module. A
+    # third-party package installed where the tests run would hide a stray
+    # import of it from every other test.
+    for path in sorted((ROOT / "src" / "fibonomial").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, \
+                    f"{path.name}:{node.lineno} imports {name}"
+
+
 def _names_read():
     """The names that code in the package or the benchmark reads, by name
     or as an attribute, and the string constants it holds."""
